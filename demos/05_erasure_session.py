@@ -28,6 +28,10 @@ print(f"information throughput: {report.info_throughput} "
       f"= {float(report.info_throughput):.3f} >= 0.25")
 
 big = CodeSpec.for_protocol(19, 19)
+offsets = tuple(int(x) for x in rng.integers(0, 19 * big.n, size=10))
+report = session_roundtrip(19, 19, tuple(range(1, 11)), offsets)
 print(f"\nlarger instance p=k=19: dimension {big.dim}, field order {big.field_order}, "
-      f"10 users -> throughput {10 * big.dim}/{19 * big.n} "
-      f"= {10 * big.dim / (19 * big.n):.3f}")
+      f"10 users, all recovered: {report.all_recovered}, "
+      f"smallest erasure margin {min(report.margins.values())}")
+print(f"measured throughput {report.measured_throughput} "
+      f"= {float(report.measured_throughput):.3f}")

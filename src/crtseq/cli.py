@@ -160,6 +160,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _peak_active(sc: channel.Scenario) -> int:
+    """Most users active at once: permanent users span the whole horizon,
+    session users their [start, end) intervals clipped to it."""
+    edges = []
+    for u in sc.users:
+        spans = [(0, sc.duration)] if u.sessions is None else u.sessions
+        for a, b in spans:
+            if a < sc.duration:
+                edges += [(a, 1), (min(b, sc.duration), -1)]
+    active = peak = 0
+    for _, step in sorted(edges):  # at equal slots an end sorts before a start
+        active += step
+        peak = max(peak, active)
+    return peak
+
+
 def _expected_activations(sc: channel.Scenario) -> dict[int, set[int]]:
     """Per user: start slots at which a correct detector must activate it
     (only starts whose full window fits in the simulated horizon)."""
@@ -173,6 +189,10 @@ def _expected_activations(sc: channel.Scenario) -> dict[int, set[int]]:
 
 def _cmd_sync(args) -> int:
     sc = _load_scenario(args.scenario)
+    if any(u.generator == 0 for u in sc.users):
+        raise ValueError(
+            "sync does not support generator 0: the detector identifies generators 1..p-1"
+        )
     trace = channel.simulate(sc)
     signal = channel.channel_activity(trace)
     events = sync.run_detector(signal, sc.params)
@@ -186,22 +206,23 @@ def _cmd_sync(args) -> int:
     _write_atomic(args.emit, "\n".join(rows) + "\n")
 
     expected = _expected_activations(sc)
+    user_of = {u.generator: u.user_id for u in sc.users}  # events carry generators
     errors = []
     seen: dict[int, set[int]] = {u: set() for u in expected}
     for ev in events:
         if isinstance(ev, sync.Activated):
-            if ev.user not in expected:
-                errors.append(f"false alarm: user {ev.user} activated at {ev.start}")
-            elif ev.start not in expected[ev.user]:
-                errors.append(f"start error: user {ev.user} activated at {ev.start}")
+            user = user_of.get(ev.user)
+            if user is None:
+                errors.append(f"false alarm: generator {ev.user} activated at {ev.start}")
+            elif ev.start not in expected[user]:
+                errors.append(f"start error: user {user} activated at {ev.start}")
             else:
-                seen[ev.user].add(ev.start)
+                seen[user].add(ev.start)
     for u, starts in expected.items():
-        for s in starts - seen.get(u, set()):
+        for s in starts - seen[u]:
             errors.append(f"missed detection: user {u} at start {s}")
 
-    active = len(sc.users)
-    guarantee = sync.sync_guarantee(sc.params.p, sc.params.q, active)
+    guarantee = sync.sync_guarantee(sc.params.p, sc.params.q, _peak_active(sc))
     print(f"{len(events)} events, guarantee: {guarantee.level.value}"
           + (f" ({guarantee.reason})" if guarantee.reason else ""))
     for err in errors:
@@ -237,11 +258,16 @@ def _cmd_session(args) -> int:
         "field_order": report.spec.field_order,
         "offsets": list(offs),
         "users": {
-            str(g): {"erasures": report.erasure_counts[g], "recovered": report.recovered_ok[g]}
+            str(g): {
+                "erasures": report.erasure_counts[g],
+                "recovered": report.recovered_ok[g],
+                "margin": report.margins[g],
+            }
             for g in gens
         },
         "all_recovered": report.all_recovered,
         "info_throughput": _frac(report.info_throughput),
+        "measured_throughput": _frac(report.measured_throughput),
     }
     text = json.dumps(payload, indent=2)
     print(text)

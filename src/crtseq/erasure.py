@@ -11,6 +11,11 @@ symbols, taken at n fixed distinct field points (the field elements
 0..n-1).  Any D unerased symbols re-interpolate the polynomial, which is
 exactly the MDS property.  Field arithmetic uses fixed primitive
 polynomials per order, documented below bit-exactly.
+
+Encoding and decoding are each one matrix-vector product over the field,
+vectorized through the exp/log tables.  The matrix holds barycentric
+Lagrange weights, computed once per point set in the log domain: the
+parity matrix once per code, the decoding matrix once per erasure pattern.
 """
 
 from __future__ import annotations
@@ -88,6 +93,32 @@ class GF:
     def add(a: int, b: int) -> int:
         return a ^ b
 
+    def lagrange_logs(self, pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Logarithms of the Lagrange weights W[r, i]: the value at xs[r] of
+        the basis polynomial that is 1 at pts[i] and 0 at the other points.
+
+        Barycentric form (Berrut & Trefethen, SIAM Review 2004) with
+        subtraction as XOR: W[r, i] = l(xs[r]) / ((xs[r] ^ pts[i]) * w_i),
+        where l(x) is the product of (x ^ pts[j]) over all j and w_i the
+        product of (pts[i] ^ pts[j]) over j != i.  Points are distinct and
+        xs is disjoint from pts, so no factor is zero and every weight has
+        a logarithm.
+        """
+        log = self._log
+        between = log[pts[:, None] ^ pts[None, :]]
+        np.fill_diagonal(between, 0)  # j = i is not a factor of w_i
+        to_pts = log[xs[:, None] ^ pts[None, :]]
+        logs = to_pts.sum(axis=1)[:, None] - to_pts - between.sum(axis=1)
+        return logs % (self.order - 1)
+
+    def log_matvec(self, logs: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Product M @ v over the field for the matrix M with logarithms
+        ``logs``: each row XOR-sums exp[log M + log v] over the nonzero
+        entries of v (zero has no logarithm and contributes nothing)."""
+        nonzero = v != 0
+        terms = self._exp[logs[:, nonzero] + self._log[v[nonzero]]]
+        return np.bitwise_xor.reduce(terms, axis=1)
+
 
 def code_dimension(p: int, k: int) -> int:
     """Per-period information dimension (k*p + k - p + 3) / 2.
@@ -153,23 +184,9 @@ class ErasureCode:
         self.field = GF(spec.field_order)
         # Parity rows: evaluation of each Lagrange basis polynomial (through
         # the information points 0..dim-1) at the parity points dim..n-1.
-        self._parity = [
-            [self._lagrange_weight(i, x) for i in range(spec.dim)]
-            for x in range(spec.dim, spec.n)
-        ]
-
-    def _lagrange_weight(self, i: int, x: int, points: list[int] | None = None) -> int:
-        """Value at x of the basis polynomial that is 1 at points[i] and 0
-        at the other interpolation points."""
-        pts = points if points is not None else list(range(self.spec.dim))
-        f = self.field
-        num, den = 1, 1
-        for j, pj in enumerate(pts):
-            if j == i:
-                continue
-            num = f.mul(num, x ^ pj)
-            den = f.mul(den, pts[i] ^ pj)
-        return f.div(num, den)
+        self._parity_logs = self.field.lagrange_logs(
+            np.arange(spec.dim), np.arange(spec.dim, spec.n)
+        )
 
     def encode(self, info) -> np.ndarray:
         info = np.asarray(info, dtype=np.int64)
@@ -177,22 +194,15 @@ class ErasureCode:
             raise ValueError(f"expected {self.spec.dim} information symbols")
         if info.size and (info.min() < 0 or info.max() >= self.spec.field_order):
             raise ValueError("symbols outside the field")
-        f = self.field
-        word = np.zeros(self.spec.n, dtype=np.int64)
-        word[: self.spec.dim] = info
-        for r, row in enumerate(self._parity):
-            acc = 0
-            for coeff, sym in zip(row, info):
-                acc ^= f.mul(coeff, int(sym))
-            word[self.spec.dim + r] = acc
-        return word
+        return np.concatenate([info, self.field.log_matvec(self._parity_logs, info)])
 
     def decode(self, received, erased) -> np.ndarray:
         """Recover the information symbols from a codeword with erasures.
 
         ``erased`` is a boolean mask over the n positions; erased entries of
         ``received`` are ignored.  Raises DecodeFailure when more than
-        n - dim positions are erased.
+        n - dim positions are erased, and ValueError when an unerased
+        symbol lies outside the field.
         """
         received = np.asarray(received, dtype=np.int64)
         erased = np.asarray(erased, dtype=bool)
@@ -203,30 +213,36 @@ class ErasureCode:
             raise DecodeFailure(
                 f"{int(erased.sum())} erasures exceed the budget of {self.spec.max_erasures}"
             )
-        info = np.zeros(self.spec.dim, dtype=np.int64)
-        missing = [i for i in range(self.spec.dim) if erased[i]]
-        for i in range(self.spec.dim):
-            if not erased[i]:
-                info[i] = received[i]
-        if missing:
-            pts = [int(x) for x in known[: self.spec.dim]]
-            vals = [int(received[x]) for x in pts]
-            for x in missing:
-                acc = 0
-                for i, v in enumerate(vals):
-                    acc ^= self.field.mul(self._lagrange_weight(i, x, pts), v)
-                info[x] = acc
+        symbols = received[known]  # at least dim >= 1 of them
+        if symbols.min() < 0 or symbols.max() >= self.spec.field_order:
+            raise ValueError("received symbols outside the field")
+        info = np.where(erased[: self.spec.dim], 0, received[: self.spec.dim])
+        missing = np.flatnonzero(erased[: self.spec.dim])
+        if missing.size:
+            pts = known[: self.spec.dim]
+            weights = self.field.lagrange_logs(pts, missing)
+            info[missing] = self.field.log_matvec(weights, received[pts])
         return info
 
 
 @dataclass(frozen=True)
 class SessionReport:
+    """Outcome of one session round trip.
+
+    ``info_throughput`` is the guaranteed goodput users * dim / L, reported
+    whether or not every user decoded; ``measured_throughput`` is the
+    goodput delivered, dim * (users recovered) / L.  ``margins`` holds each
+    user's erasure budget n - dim minus its erasures (negative when over).
+    """
+
     spec: CodeSpec
     recovered: dict[int, np.ndarray | None]
     recovered_ok: dict[int, bool]
     erasure_counts: dict[int, int]
     all_recovered: bool
     info_throughput: Fraction
+    measured_throughput: Fraction
+    margins: dict[int, int]
 
 
 def session_roundtrip(
@@ -288,5 +304,9 @@ def session_roundtrip(
         recovered_ok[g] = out is not None and bool(np.array_equal(out, np.asarray(payloads[g])))
 
     all_ok = all(recovered_ok.values())
-    throughput = Fraction(len(generators) * spec.dim, p * q)
-    return SessionReport(spec, recovered, recovered_ok, erasure_counts, all_ok, throughput)
+    throughput = Fraction(len(generators) * spec.dim, L)
+    measured = Fraction(sum(recovered_ok.values()) * spec.dim, L)
+    margins = {g: spec.max_erasures - e for g, e in erasure_counts.items()}
+    return SessionReport(
+        spec, recovered, recovered_ok, erasure_counts, all_ok, throughput, measured, margins
+    )

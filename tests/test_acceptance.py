@@ -268,7 +268,16 @@ def test_criterion_13_erasure_pipeline():
     assert big.dim == 182 and big.field_order == 512
     assert Fraction(10 * big.dim, 19 * 362) == Fraction(1820, 6878)
     assert abs(1820 / 6878 - 0.265) < 5e-4
-    ok(13, "500 offset tuples decoded; throughput 42/130; large instance checked")
+
+    # the large instance end to end: ten users over GF(512) at seeded offsets
+    gens = tuple(range(1, 11))
+    offsets = tuple(int(x) for x in rng.integers(0, 19 * big.n, size=len(gens)))
+    report = session_roundtrip(19, 19, gens, offsets, seed=19)
+    assert (report.spec.n, report.spec.dim, report.spec.field_order) == (362, 182, 512)
+    assert report.all_recovered, offsets
+    assert all(report.recovered_ok[g] for g in gens)
+    assert report.info_throughput == report.measured_throughput == Fraction(1820, 6878)
+    ok(13, "500 offset tuples decoded; throughput 42/130; p=k=19 decoded for 10 users")
 
 
 def test_criterion_14_uniformity_table():

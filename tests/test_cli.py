@@ -125,6 +125,44 @@ class TestSync:
         assert "255,activated,2,0" in lines
 
 
+def _sync(tmp_path, users, duration=1200):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"p": 5, "q": 53, "variant": "mod", "duration": duration, "users": users})
+    )
+    return main(["sync", "--scenario", str(scenario), "--emit", str(tmp_path / "events.csv"),
+                 "--assert-guarantee"])
+
+
+class TestSyncVerdict:
+    def test_ids_differing_from_generators(self, tmp_path, capsys):
+        users = [{"id": 10, "g": 1, "offset": 7}, {"id": 20, "g": 2, "offset": 100}]
+        assert _sync(tmp_path, users) == 0
+        out = capsys.readouterr().out
+        assert "guarantee: general" in out
+        assert "false alarm" not in out and "missed detection" not in out
+
+    def test_generator_zero_is_usage_error(self, tmp_path, capsys):
+        users = [{"id": 1, "g": 1, "offset": 7}, {"id": 2, "g": 0, "offset": 100}]
+        assert _sync(tmp_path, users) == 2
+        assert "generator 0" in capsys.readouterr().err
+
+    def test_guarantee_counts_peak_concurrency(self, tmp_path, capsys):
+        # four users, but at most three = (p+1)/2 at once: user 4 starts at
+        # slot 800, where the other three end
+        users = [
+            {"id": 1, "g": 1, "sessions": [[0, 800]]},
+            {"id": 2, "g": 2, "sessions": [[30, 800]]},
+            {"id": 3, "g": 3, "sessions": [[100, 800]]},
+            {"id": 4, "g": 4, "sessions": [[800, 2000]]},
+        ]
+        assert _sync(tmp_path, users, duration=2000) == 0
+        assert "guarantee: general" in capsys.readouterr().out
+        users[3]["sessions"] = [[799, 2000]]
+        assert _sync(tmp_path, users, duration=2000) == 0
+        assert "guarantee: none (active users 4 > (p+1)/2 = 3)" in capsys.readouterr().out
+
+
 class TestSweep:
     def test_curve_csv(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
@@ -161,6 +199,9 @@ class TestSession:
         assert payload["n"] == 26 and payload["dim"] == 14
         assert payload["all_recovered"] is True
         assert payload["info_throughput"] == "21/65"  # 42/130 reduced
+        assert payload["measured_throughput"] == "21/65"
+        for user in payload["users"].values():
+            assert user["margin"] == 12 - user["erasures"] >= 0
 
     def test_payload_file(self, tmp_path, capsys):
         payload_path = tmp_path / "payload.json"

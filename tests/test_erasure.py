@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtseq import erasure
 from crtseq.erasure import (
     PRIMITIVE_POLYS,
     CodeSpec,
@@ -108,6 +109,15 @@ class TestErasureCode:
         with pytest.raises(ValueError):
             SMALL.encode(np.array([1, 2, 9]))
 
+    @pytest.mark.parametrize("bad", [-3, 8, 40])
+    def test_received_symbols_must_fit_the_field(self, bad):
+        erased = np.array([True, False, False, False, False, False])
+        word = SMALL.encode(np.array([1, 2, 3]))
+        SMALL.decode(np.where(erased, bad, word), erased)  # erased entries are ignored
+        word[3] = bad
+        with pytest.raises(ValueError):
+            SMALL.decode(word, erased)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_protocol_code_handles_budget_erasures(self, seed):
@@ -131,6 +141,75 @@ class TestErasureCode:
         erased[:13] = True
         with pytest.raises(DecodeFailure):
             code.decode(word, erased)
+
+
+def oracle_weight(f: GF, i: int, x: int, pts: list[int]) -> int:
+    """Scalar Lagrange weight: value at x of the basis polynomial that is 1
+    at pts[i] and 0 at the other points."""
+    num, den = 1, 1
+    for j, pj in enumerate(pts):
+        if j == i:
+            continue
+        num = f.mul(num, x ^ pj)
+        den = f.mul(den, pts[i] ^ pj)
+    return f.div(num, den)
+
+
+def oracle_interpolate(f: GF, pts: list[int], vals: list[int], x: int) -> int:
+    acc = 0
+    for i, v in enumerate(vals):
+        acc ^= f.mul(oracle_weight(f, i, x, pts), v)
+    return acc
+
+
+def oracle_encode(spec: CodeSpec, info: list[int]) -> list[int]:
+    f, pts = GF(spec.field_order), list(range(spec.dim))
+    return info + [oracle_interpolate(f, pts, info, x) for x in range(spec.dim, spec.n)]
+
+
+def oracle_decode(spec: CodeSpec, received: list[int], erased: list[bool]) -> list[int]:
+    f = GF(spec.field_order)
+    pts = [x for x in range(spec.n) if not erased[x]][: spec.dim]
+    vals = [received[x] for x in pts]
+    return [
+        oracle_interpolate(f, pts, vals, x) if erased[x] else received[x]
+        for x in range(spec.dim)
+    ]
+
+
+@st.composite
+def coded_words(draw):
+    """A small code over a field of order 8..512, a payload that often holds
+    zero symbols, an erasure order over all n positions and an erasure
+    count within the budget."""
+    order = draw(st.sampled_from([o for o in sorted(PRIMITIVE_POLYS) if o <= 512]))
+    n = draw(st.integers(1, min(order, 40)))
+    spec = CodeSpec(n, draw(st.integers(1, n)), order)
+    symbol = st.one_of(st.just(0), st.integers(0, order - 1))
+    info = draw(st.lists(symbol, min_size=spec.dim, max_size=spec.dim))
+    order_of_erasure = draw(st.permutations(range(n)))
+    count = draw(st.integers(0, spec.max_erasures))
+    return spec, info, order_of_erasure, count
+
+
+class TestScalarOracle:
+    @given(coded_words())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_lagrange(self, case):
+        spec, info, order_of_erasure, count = case
+        code = ErasureCode(spec)
+        word = code.encode(info)
+        assert word.tolist() == oracle_encode(spec, info)
+
+        erased = np.zeros(spec.n, bool)
+        erased[order_of_erasure[:count]] = True
+        received = np.where(erased, 0, word)
+        got = code.decode(received, erased)
+        assert got.tolist() == oracle_decode(spec, received.tolist(), erased.tolist()) == info
+
+        erased[order_of_erasure[: spec.max_erasures + 1]] = True
+        with pytest.raises(DecodeFailure):
+            code.decode(np.where(erased, 0, word), erased)
 
 
 _PROTOCOL_CODE = None
@@ -187,6 +266,25 @@ class TestSessionRoundtrip:
         throughput = Fraction(10 * spec.dim, 19 * 362)
         assert throughput == Fraction(1820, 6878)
         assert float(throughput) >= 0.25
+
+    def test_margins_and_measured_throughput(self):
+        report = session_roundtrip(5, 5, (1, 2, 3), (3, 40, 77))
+        assert report.measured_throughput == report.info_throughput == Fraction(42, 130)
+        assert report.margins == {g: 12 - e for g, e in report.erasure_counts.items()}
+        assert min(report.margins.values()) >= 0
+
+    def test_over_budget_user_lowers_measured_throughput(self, monkeypatch):
+        # force dimension n - 1, a budget of one erasure per user, so that
+        # colliding users fail while the formula still counts them
+        monkeypatch.setattr(erasure, "code_dimension", lambda p, k: k * p)
+        report = session_roundtrip(5, 5, (1, 2, 3), (3, 40, 77))
+        failed = [g for g, ok in report.recovered_ok.items() if not ok]
+        assert failed and not report.all_recovered
+        assert report.info_throughput == Fraction(3 * 25, 130)
+        assert report.measured_throughput == Fraction((3 - len(failed)) * 25, 130)
+        assert report.measured_throughput < report.info_throughput
+        for g in failed:
+            assert report.margins[g] == 1 - report.erasure_counts[g] < 0
 
     def test_too_many_users_rejected(self):
         with pytest.raises(ValueError):
