@@ -400,25 +400,66 @@ def adversarial_min_throughput(
 # --- scenario file format ---
 
 
+_JSON_TYPES = {int: "integer", str: "string", list: "array"}
+
+
+def _json_field(obj, key: str, where: str, kind: type, required: bool = True):
+    """obj[key] checked to be of the JSON-decoded type ``kind`` (so no
+    booleans for int); a missing or null optional field reads None.  Any
+    defect raises ValueError naming the field."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(obj, dict):
+        raise ValueError(f"scenario {where or 'file'} must be a JSON object, got {obj!r:.60}")
+    value = obj.get(key)
+    if value is None:
+        if required:
+            raise ValueError(f"scenario lacks field {name!r}")
+        return None
+    if type(value) is not kind:
+        raise ValueError(
+            f"scenario field {name!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r:.60}"
+        )
+    return value
+
+
+def _json_sessions(spans: list, where: str) -> tuple[tuple[int, int], ...]:
+    for j, span in enumerate(spans):
+        if not (type(span) is list and len(span) == 2 and all(type(x) is int for x in span)):
+            raise ValueError(
+                f"scenario field '{where}.sessions[{j}]' must be a [start, end] "
+                f"pair of integers, got {span!r:.60}"
+            )
+    return tuple((a, b) for a, b in spans)
+
+
 def scenario_from_json(obj: dict | str) -> Scenario:
     """Build a scenario from the JSON schema
     {p, q, variant, duration, seed, users:[{id, g, offset|null, sessions|null}]}.
+
+    A missing or mistyped field raises ValueError naming it.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    params = CrtParams(int(obj["p"]), int(obj["q"]), Variant.parse(obj.get("variant", "std")))
-    users = tuple(
-        UserSpec(
-            user_id=int(u["id"]),
-            generator=int(u["g"]),
-            offset=None if u.get("offset") is None else int(u["offset"]),
-            sessions=None
-            if u.get("sessions") is None
-            else tuple((int(a), int(b)) for a, b in u["sessions"]),
-        )
-        for u in obj["users"]
+    variant = _json_field(obj, "variant", "", str, required=False)
+    params = CrtParams(
+        _json_field(obj, "p", "", int),
+        _json_field(obj, "q", "", int),
+        Variant.STANDARD if variant is None else Variant.parse(variant),
     )
-    return Scenario(params, users, int(obj["duration"]), int(obj.get("seed", 0)))
+    users = []
+    for i, u in enumerate(_json_field(obj, "users", "", list)):
+        where = f"users[{i}]"
+        spans = _json_field(u, "sessions", where, list, required=False)
+        users.append(
+            UserSpec(
+                user_id=_json_field(u, "id", where, int),
+                generator=_json_field(u, "g", where, int),
+                offset=_json_field(u, "offset", where, int, required=False),
+                sessions=None if spans is None else _json_sessions(spans, where),
+            )
+        )
+    seed = _json_field(obj, "seed", "", int, required=False)
+    return Scenario(params, tuple(users), _json_field(obj, "duration", "", int), seed or 0)
 
 
 def scenario_to_json(sc: Scenario) -> dict:

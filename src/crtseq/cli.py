@@ -117,15 +117,14 @@ def _load_scenario(path: str) -> channel.Scenario:
 def _cmd_simulate(args) -> int:
     sc = _load_scenario(args.scenario)
     trace = channel.simulate(sc)
+    # one row per slot as ChannelTrace.outcome(t) reads it, from plain lists
     rows = ["slot,outcome,sender"]
-    for t in range(trace.duration):
-        out = trace.outcome(t)
-        if out[0] == "idle":
-            rows.append(f"{t},idle,")
-        elif out[0] == "success":
-            rows.append(f"{t},success,{out[1]}")
-        else:
-            rows.append(f"{t},collision,{'+'.join(str(u) for u in out[1])}")
+    rows.extend(
+        f"{t},idle," if n == 0
+        else f"{t},success,{sender}" if n == 1
+        else f"{t},collision,{'+'.join(map(str, trace.collision_senders[t]))}"
+        for t, (n, sender) in enumerate(zip(trace.n_senders.tolist(), trace.sole_sender.tolist()))
+    )
     _write_atomic(args.out, "\n".join(rows) + "\n")
     print(
         f"{trace.duration} slots: {trace.total_successes} successes, "
@@ -233,6 +232,30 @@ def _cmd_sync(args) -> int:
     return 0
 
 
+def _load_payloads(path: str) -> dict[int, np.ndarray]:
+    """Generator -> information symbols from a JSON object
+    {"<generator>": [symbol, ...], ...}; a malformed file raises ValueError."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"payload file must be a JSON object, got {raw!r:.60}")
+    payloads = {}
+    for key, symbols in raw.items():
+        try:
+            g = int(key)
+        except ValueError:
+            raise ValueError(f"payload key {key!r} is not a generator number") from None
+        if not isinstance(symbols, list) or not all(
+            type(x) is int and 0 <= x < 2**63 for x in symbols
+        ):
+            raise ValueError(
+                f"payload for generator {key} must be an array of non-negative integers, "
+                f"got {symbols!r:.60}"
+            )
+        payloads[g] = np.asarray(symbols, dtype=np.int64)
+    return payloads
+
+
 def _cmd_session(args) -> int:
     gens = tuple(int(x) for x in args.users.split(","))
     if args.offsets:
@@ -243,9 +266,7 @@ def _cmd_session(args) -> int:
         offs = tuple(int(x) for x in rng.integers(0, L, size=len(gens)))
     payloads = None
     if args.payload:
-        with open(args.payload) as fh:
-            raw = json.load(fh)
-        payloads = {int(g): np.asarray(v, dtype=np.int64) for g, v in raw.items()}
+        payloads = _load_payloads(args.payload)
         missing = [g for g in gens if g not in payloads]
         if missing:
             raise ValueError(f"payload file lacks symbols for users {missing}")

@@ -79,100 +79,104 @@ class Deactivated:
     at: int  # period boundary whose window failed to match
 
 
-class ActivityDetector:
-    """Push one activity symbol per slot; decisions about start slot t0 are
-    made once the window [t0, t0+L) is complete.
+# Both ways of matching n starts cost in proportion to (p-1)*q: a gather of
+# every (start, one-position) pair also scales with n, while ANDing one
+# shifted slice per one-position pays a fixed overhead per slice.  They break
+# even near n = 256 whatever p and q; the cut sits lower because the gather
+# materializes a (p-1)*q*n index array.
+_GATHER_MAX_STARTS = 128
 
-    Internally a ring of violation counters per user: an idle symbol at
-    slot t rules out every start t0 = t - d where d is a one-position of
-    the user's sequence.  A start with zero violations is matched.
+
+class ActivityDetector:
+    """Blind detector for generators 1..p-1, fed activity symbols in chunks.
+
+    ``push`` takes one symbol, a 1-D array of symbols, or an ActivitySignal.
+    A start slot t0 is decided once its window [t0, t0+L) is complete, so the
+    detector keeps only the busy flags of the at most L-1 slots from the
+    oldest undecided start onward, plus each user's next start to examine.
+    Any chunking of a signal yields the same events as pushing it at once.
     """
 
-    def __init__(self, params: CrtParams, sequences: dict[int, BinarySequence] | None = None):
+    def __init__(self, params: CrtParams):
         self.params = params
-        if sequences is None:
-            sequences = {g: generate_sequence(g, params) for g in range(1, params.p)}
-        self.user_ids = sorted(sequences)
-        self._supports = {u: sequences[u].support() for u in self.user_ids}
+        self.user_ids = list(range(1, params.p))
+        # every CRT sequence has weight q, so the supports stack into (p-1, q)
+        self._offsets = np.stack([generate_sequence(g, params).support() for g in self.user_ids])
         self._L = params.L
-        self._viol = {u: np.zeros(self._L, dtype=np.int32) for u in self.user_ids}
+        self._busy = np.zeros(0, dtype=bool)
         self._now = 0
-        self.active: dict[int, bool] = {u: False for u in self.user_ids}
-        self.start: dict[int, int | None] = {u: None for u in self.user_ids}
+        self._next = dict.fromkeys(self.user_ids, 0)
+        self.active: dict[int, bool] = dict.fromkeys(self.user_ids, False)
+        self.start: dict[int, int | None] = dict.fromkeys(self.user_ids, None)
 
     @property
     def time(self) -> int:
         """Number of symbols consumed so far."""
         return self._now
 
-    def push(self, symbol: int) -> list[Activated | Deactivated]:
-        t = self._now
-        self._now += 1
-        if symbol == IDLE:
-            for u in self.user_ids:
-                t0s = t - self._supports[u]
-                t0s = t0s[t0s >= 0]
-                self._viol[u][t0s % self._L] += 1
+    def _matched(self, busy: np.ndarray, n: int) -> np.ndarray:
+        """matched[k, j]: generator user_ids[k] matches the window that
+        starts at busy[j], for the first n starts."""
+        if n <= _GATHER_MAX_STARTS:
+            return busy[self._offsets[:, None, :] + np.arange(n)[:, None]].all(axis=2)
+        matched = np.ones((len(self.user_ids), n), dtype=bool)
+        for row, offsets in zip(matched, self._offsets):
+            for d in offsets:
+                row &= busy[d : d + n]
+        return matched
 
-        events: list[Activated | Deactivated] = []
-        t0 = t - self._L + 1
-        if t0 < 0:
-            return events
-        slot = t0 % self._L
-        for u in self.user_ids:
-            matched = self._viol[u][slot] == 0
-            self._viol[u][slot] = 0  # slot is reused for t0 + L from now on
-            if not self.active[u]:
-                if matched:
-                    self.active[u] = True
-                    self.start[u] = t0
-                    events.append(Activated(u, t0))
-            elif (t0 - self.start[u]) % self._L == 0 and not matched:
-                self.active[u] = False
-                self.start[u] = None
-                events.append(Deactivated(u, t0))
-        return events
+    def push(self, symbols) -> list[Activated | Deactivated]:
+        """Consume symbols; return the events they decide, ordered by
+        (start, user).
 
-    def run(self, signal) -> list[Activated | Deactivated]:
-        events: list[Activated | Deactivated] = []
-        for symbol in _codes(signal):
-            events.extend(self.push(int(symbol)))
-        return events
+        An idle user that matches at t0 is activated with start t0; an
+        active user is re-examined at each whole period after its start and
+        deactivated at the first one that fails to match.
+        """
+        codes = np.atleast_1d(_codes(symbols))
+        if codes.ndim != 1:
+            raise ValueError(f"push takes a symbol or a 1-D array, got shape {codes.shape}")
+        busy = np.concatenate((self._busy, codes != IDLE))
+        self._now += codes.size
+        n = busy.size - self._L + 1
+        if n <= 0:
+            self._busy = busy
+            return []
+        matched = self._matched(busy, n)
+        self._busy = busy[n:].copy()  # drop the chunk's buffer
+        base = self._now - busy.size  # slot of busy[0]: the oldest undecided start
+        end = base + n
+
+        L = self._L
+        events: list[tuple[int, int, Activated | Deactivated]] = []
+        for k, u in enumerate(self.user_ids):
+            t0 = self._next[u]
+            while t0 < end:
+                if self.active[u]:
+                    if matched[k, t0 - base]:
+                        t0 += L
+                        continue
+                    events.append((t0, u, Deactivated(u, t0)))
+                    self.active[u], self.start[u] = False, None
+                    t0 += 1
+                else:
+                    i = t0 - base  # argmax finds the first match at or after i, if any
+                    hit = i + int(matched[k, i:].argmax())
+                    if not matched[k, hit]:
+                        t0 = end
+                        break
+                    t0 = base + hit
+                    events.append((t0, u, Activated(u, t0)))
+                    self.active[u], self.start[u] = True, t0
+                    t0 += L
+            self._next[u] = t0
+        events.sort(key=lambda item: item[:2])
+        return [ev for _, _, ev in events]
 
 
 def run_detector(signal, params: CrtParams) -> list[Activated | Deactivated]:
-    """Batch equivalent of pushing the whole signal through a fresh
-    ActivityDetector (same events, same order); vectorized matching."""
-    codes = _codes(signal)
-    L = params.L
-    n_starts = codes.size - L + 1
-    if n_starts <= 0:
-        return []
-    idle = (codes == IDLE).astype(np.int32)
-
-    events: list[tuple[int, int, Activated | Deactivated]] = []
-    for u in range(1, params.p):
-        support = generate_sequence(u, params).support()
-        viol = np.zeros(n_starts, dtype=np.int32)
-        for d in support:
-            viol += idle[d : d + n_starts]
-        matched = viol == 0
-        # replay the per-user state machine, jumping between decisions
-        t0 = 0
-        while t0 < n_starts:
-            hits = np.flatnonzero(matched[t0:])
-            if hits.size == 0:
-                break
-            start = t0 + int(hits[0])
-            events.append((start, u, Activated(u, start)))
-            t0 = start + L
-            while t0 < n_starts and matched[t0]:
-                t0 += L
-            if t0 < n_starts:
-                events.append((t0, u, Deactivated(u, t0)))
-                t0 += 1
-    events.sort(key=lambda item: (item[0], item[1]))
-    return [ev for _, _, ev in events]
+    """Events of a fresh ActivityDetector pushed the whole signal at once."""
+    return ActivityDetector(params).push(signal)
 
 
 class GuaranteeLevel(enum.Enum):

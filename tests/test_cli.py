@@ -1,32 +1,32 @@
+import copy
 import json
 
 import pytest
 
+from crtseq import channel
 from crtseq.cli import main
 from crtseq.core import read_sequence_file
+
+FAILURE_SCENARIO = {
+    "p": 7,
+    "q": 8,
+    "variant": "mod",
+    "duration": 58,
+    "seed": 0,
+    "users": [
+        {"id": 1, "g": 1, "offset": 0},
+        {"id": 2, "g": 2, "offset": 0},
+        {"id": 3, "g": 3, "offset": 1},
+        {"id": 4, "g": 4, "offset": 1},
+        {"id": 6, "g": 6, "offset": 1},
+    ],
+}
 
 
 @pytest.fixture
 def failure_scenario(tmp_path):
     path = tmp_path / "scenario.json"
-    path.write_text(
-        json.dumps(
-            {
-                "p": 7,
-                "q": 8,
-                "variant": "mod",
-                "duration": 58,
-                "seed": 0,
-                "users": [
-                    {"id": 1, "g": 1, "offset": 0},
-                    {"id": 2, "g": 2, "offset": 0},
-                    {"id": 3, "g": 3, "offset": 1},
-                    {"id": 4, "g": 4, "offset": 1},
-                    {"id": 6, "g": 6, "offset": 1},
-                ],
-            }
-        )
-    )
+    path.write_text(json.dumps(FAILURE_SCENARIO))
     return path
 
 
@@ -78,6 +78,22 @@ class TestSimulate:
         assert len(lines) == 59
         printed = capsys.readouterr().out
         assert "**011011" in printed  # activity signal echoed
+
+    def test_trace_csv_matches_slot_outcomes(self, tmp_path, capsys, failure_scenario):
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--scenario", str(failure_scenario), "--out", str(out)]) == 0
+        trace = channel.simulate(channel.scenario_from_json(FAILURE_SCENARIO))
+        rows = ["slot,outcome,sender"]
+        for t in range(trace.duration):
+            outcome = trace.outcome(t)
+            if outcome[0] == "idle":
+                rows.append(f"{t},idle,")
+            elif outcome[0] == "success":
+                rows.append(f"{t},success,{outcome[1]}")
+            else:
+                rows.append(f"{t},collision,{'+'.join(map(str, outcome[1]))}")
+        assert {row.split(",")[1] for row in rows[1:]} == {"idle", "success", "collision"}
+        assert out.read_bytes() == ("\n".join(rows) + "\n").encode()
 
     def test_missing_scenario_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
@@ -216,6 +232,78 @@ class TestSession:
         payload_path.write_text(json.dumps({"1": list(range(14))}))
         assert main(["session", "--p", "5", "--k", "5", "--users", "1,2",
                      "--offsets", "0,9", "--payload", str(payload_path)]) == 2
+
+
+DELETE = object()
+
+
+def _edited(value, *path):
+    """FAILURE_SCENARIO with the field at ``path`` set to ``value``, or
+    removed when ``value`` is DELETE."""
+    obj = copy.deepcopy(FAILURE_SCENARIO)
+    *outer, last = path
+    target = obj
+    for key in outer:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return obj
+
+
+MALFORMED_SCENARIOS = [
+    ([FAILURE_SCENARIO], "JSON object"),
+    (58, "JSON object"),
+    (_edited(DELETE, "p"), "'p'"),
+    (_edited(DELETE, "duration"), "'duration'"),
+    (_edited(DELETE, "users"), "'users'"),
+    (_edited(DELETE, "users", 2, "g"), "'users[2].g'"),
+    (_edited(DELETE, "users", 0, "id"), "'users[0].id'"),
+    (_edited("58", "duration"), "'duration'"),
+    (_edited(7.5, "q"), "'q'"),
+    (_edited(True, "p"), "'p'"),
+    (_edited(3, "variant"), "'variant'"),
+    (_edited({"id": 1}, "users"), "'users'"),
+    (_edited(5, "users", 1), "users[1]"),
+    (_edited("0", "users", 3, "offset"), "'users[3].offset'"),
+    (_edited([[10]], "users", 4, "sessions"), "'users[4].sessions[0]'"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sync"])
+@pytest.mark.parametrize(("scenario", "named"), MALFORMED_SCENARIOS)
+def test_malformed_scenario_is_usage_error(tmp_path, capsys, command, scenario, named):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out_flag = "--out" if command == "simulate" else "--emit"
+    code = main([command, "--scenario", str(path), out_flag, str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    ("payload", "named"),
+    [
+        ([list(range(14)), [5] * 14], "JSON object"),
+        ({"1": list(range(14)), "two": [5] * 14}, "'two'"),
+        ({"1": list(range(14)), "2": 5}, "generator 2"),
+        ({"1": list(range(14)), "2": [1.5] * 14}, "generator 2"),
+        ({"1": list(range(14)), "2": [2**70] * 14}, "generator 2"),
+        ({"1": [[1, 2]] * 7, "2": [5] * 14}, "generator 1"),
+    ],
+)
+def test_malformed_payload_is_usage_error(tmp_path, capsys, payload, named):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code = main(["session", "--p", "5", "--k", "5", "--users", "1,2",
+                 "--offsets", "0,9", "--payload", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
 
 
 class TestCompare:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtseq.core import CrtParams, Variant, generate_sequence
-from crtseq.channel import Scenario, UserSpec, channel_activity, simulate
+from crtseq.channel import IDLE, ActivitySignal, Scenario, UserSpec, channel_activity, simulate
 from crtseq.sync import (
     Activated,
     ActivityDetector,
@@ -35,6 +37,49 @@ FAILURE_SCENARIO = Scenario(
 def lone_signal(params, g, offset, duration):
     sc = Scenario(params, (UserSpec(g, g, offset),), duration)
     return channel_activity(simulate(sc))
+
+
+def push_each(detector, signal):
+    """Events of pushing the signal one symbol (a Python int) at a time."""
+    return [ev for c in signal.codes for ev in detector.push(int(c))]
+
+
+def reference_events(codes, params):
+    """The detection rule read off its definition: is_matched at every
+    start for every generator 1..p-1; an idle generator that matches is
+    activated there, an active one is dropped at the first whole period
+    after its start whose window does not match."""
+    L = params.L
+    seqs = {g: generate_sequence(g, params) for g in range(1, params.p)}
+    start = dict.fromkeys(seqs)
+    events = []
+    for t0 in range(codes.size - L + 1):
+        for g, seq in seqs.items():
+            matched = is_matched(codes, seq, t0)
+            if start[g] is None:
+                if matched:
+                    start[g] = t0
+                    events.append(Activated(g, t0))
+            elif (t0 - start[g]) % L == 0 and not matched:
+                start[g] = None
+                events.append(Deactivated(g, t0))
+    return events
+
+
+@st.composite
+def chunked_signals(draw):
+    """Small modified-variant parameters, a seeded 0/1/2 signal of up to
+    four periods that is busy enough to activate users (idle at most one
+    slot in four), and cut points that may repeat (empty chunks)."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    q = draw(st.integers(2, 16).filter(lambda q: q % p))
+    params = CrtParams(p, q, Variant.MODIFIED)
+    n = draw(st.integers(0, 3)) * params.L + draw(st.integers(0, params.L))
+    idle_rate = draw(st.sampled_from([0, 1 / 64, 1 / 16, 1 / 8, 1 / 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.where(rng.random(n) < idle_rate, IDLE, rng.integers(1, 3, n)).astype(np.int8)
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    return params, codes, cuts
 
 
 class TestIsMatched:
@@ -74,10 +119,11 @@ class TestDetector:
     def test_detector_state_tracks_events(self):
         sig = lone_signal(M551, 3, 17, 2 * M551.L)
         det = ActivityDetector(M551)
-        events = det.run(sig)
+        events = det.push(sig)
         assert events == [Activated(3, 17)]
         assert det.active == {1: False, 2: False, 3: True, 4: False}
-        assert det.start[3] == 17
+        assert det.start == {1: None, 2: None, 3: 17, 4: None}
+        assert det.time == len(sig)
 
     def test_multi_session_user_reactivates(self):
         L = M551.L
@@ -94,7 +140,7 @@ class TestDetector:
             Activated(2, 10 + 2 * L),
             Deactivated(2, 10 + 3 * L),
         ]
-        assert ActivityDetector(M551).run(sig) == events
+        assert push_each(ActivityDetector(M551), sig) == events
 
     def test_no_decisions_before_first_full_window(self):
         sig = np.ones(M551.L - 1, dtype=np.int8)
@@ -120,7 +166,24 @@ class TestDetector:
                     )
             sc = Scenario(M78, tuple(users), duration=4 * L)
             sig = channel_activity(simulate(sc))
-            assert ActivityDetector(M78).run(sig) == run_detector(sig, M78)
+            assert push_each(ActivityDetector(M78), sig) == run_detector(sig, M78)
+
+    @given(chunked_signals())
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_push_matches_definition(self, case):
+        params, codes, cuts = case
+        det = ActivityDetector(params)
+        chunked = []
+        for chunk in np.split(codes, cuts):
+            chunked += det.push(int(chunk[0]) if chunk.size == 1 else chunk)
+        assert det.time == codes.size
+        expected = reference_events(codes, params)
+        assert chunked == expected
+        assert run_detector(ActivitySignal(codes), params) == expected
+
+    def test_push_rejects_multidimensional_input(self):
+        with pytest.raises(ValueError):
+            ActivityDetector(M78).push(np.ones((2, M78.L), dtype=np.int8))
 
     def test_exact_recovery_at_guarantee_boundary(self):
         # q = 2p^2 + 1 is the smallest period in the general regime; run it
