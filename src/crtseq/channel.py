@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CrtParams, Variant, generate_sequence, is_prime
+from .correlation import correlation_spectrum
 
 __all__ = [
     "IDLE",
@@ -305,27 +306,64 @@ class ThroughputReport:
     maximum: float
 
 
-def _success_counts(offsets: np.ndarray, supports: list[np.ndarray], length: int) -> np.ndarray:
-    """Slots with exactly one transmitter, per offset row.
+class _SuccessCounter:
+    """One-period success counts of a fixed user set, per offset row.
 
-    offsets has shape (n, M); row i assigns a delay to each of the M users.
+    Works on the p x q array view: every user's support holds one point
+    per column, and a delay with residue pair (a, c) moves the point of
+    column j to row g*((j - c) mod q) + a.  Each column of a row is a
+    p-bit mask of W = ceil(p/64) uint64 words; a per-user table over
+    (row shift a, column j' in [0, 2q)) holds the one-hot mask of
+    g*(j' mod q) + a, so a delay's q columns are the q*W consecutive
+    words starting at column a*2q + q - c.  A slot succeeds when exactly
+    one user's bit is set in it.
     """
-    n = offsets.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    batch = max(1, (1 << 22) // (length or 1))
-    for lo in range(0, n, batch):
-        hi = min(n, lo + batch)
-        chunk = offsets[lo:hi]
-        b = chunk.shape[0]
-        flat = []
-        for u, support in enumerate(supports):
-            pos = (support[None, :] + chunk[:, u, None]) % length
-            flat.append(pos + (np.arange(b) * length)[:, None])
-        counts = np.bincount(
-            np.concatenate(flat, axis=1).ravel(), minlength=b * length
-        ).reshape(b, length)
-        out[lo:hi] = (counts == 1).sum(axis=1)
-    return out
+
+    _BATCH_WORDS = 1 << 15  # lanes per batch (b * q * W), sized for cache
+
+    def __init__(self, params: CrtParams, generators: tuple[int, ...]):
+        p, q = params.p, params.q
+        for g in generators:
+            if not 0 <= g < p:
+                raise ValueError(f"generator {g} outside 0..{p - 1}")
+        self.params = params
+        self.words = -(-p // 64)
+        jp = np.arange(2 * q) % q
+        shifts = np.arange(p)[:, None]
+        self._windows = []
+        for g in generators:
+            rows = (g * jp[None, :] + shifts) % p  # (p, 2q)
+            table = np.zeros((p, 2 * q, self.words), dtype=np.uint64)
+            bits = np.uint64(1) << (rows & 63).astype(np.uint64)
+            table[shifts, np.arange(2 * q), rows >> 6] = bits
+            # read-only view: window i is the q*W words starting at column i
+            windows = np.lib.stride_tricks.sliding_window_view(table.ravel(), q * self.words)
+            self._windows.append(windows[:: self.words])
+
+    def __call__(self, offsets: np.ndarray) -> np.ndarray:
+        """Slots with exactly one transmitter; offsets has shape (n, M),
+        row i assigning a delay to each of the M users."""
+        params, q = self.params, self.params.q
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if params.variant is Variant.MODIFIED:
+            cols = (params.gamma * offsets) % q
+        else:
+            cols = offsets % q
+        starts = (offsets % params.p) * (2 * q) + (q - cols)
+        lanes = q * self.words
+        batch = max(1, self._BATCH_WORDS // lanes)
+        out = np.empty(offsets.shape[0], dtype=np.int64)
+        for lo in range(0, offsets.shape[0], batch):
+            chunk = starts[lo : lo + batch]
+            once = np.zeros((chunk.shape[0], lanes), dtype=np.uint64)
+            multi = np.zeros_like(once)
+            for u, windows in enumerate(self._windows):
+                mask = windows[chunk[:, u]]
+                multi |= once & mask
+                once |= mask
+            once &= ~multi
+            out[lo : lo + batch] = np.bitwise_count(once).sum(axis=1, dtype=np.int64)
+        return out
 
 
 def monte_carlo_throughput(
@@ -343,24 +381,31 @@ def monte_carlo_throughput(
         if m_users > p:
             raise ValueError("more users than available sequences")
         generators = tuple(range(1, m_users + 1)) if m_users < p else tuple(range(p))
-    supports = [generate_sequence(g, params).support() for g in generators]
     rng = np.random.default_rng(seed)
-    offsets = rng.integers(0, params.L, size=(trials, len(supports)))
-    succ = _success_counts(offsets, supports, params.L)
+    offsets = rng.integers(0, params.L, size=(trials, len(generators)))
+    succ = _SuccessCounter(params, generators)(offsets)
     thr = succ / params.L
     return ThroughputReport(trials, float(thr.min()), float(thr.mean()), float(thr.max()))
 
 
 def exhaustive_pair_throughput(p: int, k: int, generators: tuple[int, int]) -> ThroughputReport:
-    """One-period throughput over all L^2 offset pairs of two users."""
+    """One-period throughput over all L^2 offset pairs of two users.
+
+    Shift invariance: the pair (tau_a, tau_b) loses 2*C_ab(tau_b - tau_a)
+    slots, C_ab the correlation spectrum, and each relative shift occurs
+    for L of the L^2 pairs.  The mean is the exact rational rounded once.
+    """
     params = construction_params(p, k)
-    supports = [generate_sequence(g, params).support() for g in generators]
+    a, b = (generate_sequence(g, params) for g in generators)
+    spec = correlation_spectrum(a, b)
     L = params.L
-    grid = np.stack(np.meshgrid(np.arange(L), np.arange(L), indexing="ij"), axis=-1)
-    offsets = grid.reshape(-1, 2)
-    succ = _success_counts(offsets, supports, L)
-    thr = succ / L
-    return ThroughputReport(L * L, float(thr.min()), float(thr.mean()), float(thr.max()))
+    succ = spec.weight_a + spec.weight_b - 2 * spec.values
+    return ThroughputReport(
+        L * L,
+        int(succ.min()) / L,
+        float(Fraction(L * int(succ.sum()), L**3)),
+        int(succ.max()) / L,
+    )
 
 
 def adversarial_min_throughput(
@@ -374,20 +419,20 @@ def adversarial_min_throughput(
     +-1 coordinate descent on the success count.  Returns the worst
     throughput found (an upper bound on the true worst case)."""
     params = construction_params(p, k)
-    supports = [generate_sequence(g, params).support() for g in generators]
+    count = _SuccessCounter(params, generators)
     L = params.L
-    m = len(supports)
+    m = len(generators)
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(restarts):
         cur = rng.integers(0, L, size=m)
-        cur_val = int(_success_counts(cur[None, :], supports, L)[0])
+        cur_val = int(count(cur[None, :])[0])
         while True:
             neigh = np.repeat(cur[None, :], 2 * m, axis=0)
             for u in range(m):
                 neigh[2 * u, u] = (neigh[2 * u, u] + 1) % L
                 neigh[2 * u + 1, u] = (neigh[2 * u + 1, u] - 1) % L
-            vals = _success_counts(neigh, supports, L)
+            vals = count(neigh)
             j = int(vals.argmin())
             if vals[j] < cur_val:
                 cur, cur_val = neigh[j], int(vals[j])

@@ -17,6 +17,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,12 +37,13 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _write_atomic(path: str | Path, text: str) -> None:
+def _write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write text, or an iterable of text chunks, to path via a temp file."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -109,23 +111,33 @@ def _cmd_correlate(args) -> int:
 def _load_scenario(path: str) -> channel.Scenario:
     try:
         with open(path) as fh:
-            return channel.scenario_from_json(json.load(fh))
+            return channel.scenario_from_json(fh.read())
     except FileNotFoundError as exc:
         raise ValueError(f"scenario file not found: {path}") from exc
+
+
+_CSV_BLOCK_SLOTS = 1 << 16
+
+
+def _trace_csv_blocks(trace: channel.ChannelTrace) -> Iterator[str]:
+    """trace.csv text in blocks of slots: one row per slot as
+    ChannelTrace.outcome(t) reads it, built from plain lists."""
+    yield "slot,outcome,sender\n"
+    for lo in range(0, trace.duration, _CSV_BLOCK_SLOTS):
+        block = slice(lo, lo + _CSV_BLOCK_SLOTS)
+        senders = zip(trace.n_senders[block].tolist(), trace.sole_sender[block].tolist())
+        yield "".join(
+            f"{t},idle,\n" if n == 0
+            else f"{t},success,{sender}\n" if n == 1
+            else f"{t},collision,{'+'.join(map(str, trace.collision_senders[t]))}\n"
+            for t, (n, sender) in enumerate(senders, start=lo)
+        )
 
 
 def _cmd_simulate(args) -> int:
     sc = _load_scenario(args.scenario)
     trace = channel.simulate(sc)
-    # one row per slot as ChannelTrace.outcome(t) reads it, from plain lists
-    rows = ["slot,outcome,sender"]
-    rows.extend(
-        f"{t},idle," if n == 0
-        else f"{t},success,{sender}" if n == 1
-        else f"{t},collision,{'+'.join(map(str, trace.collision_senders[t]))}"
-        for t, (n, sender) in enumerate(zip(trace.n_senders.tolist(), trace.sole_sender.tolist()))
-    )
-    _write_atomic(args.out, "\n".join(rows) + "\n")
+    _write_atomic(args.out, _trace_csv_blocks(trace))
     print(
         f"{trace.duration} slots: {trace.total_successes} successes, "
         f"{len(trace.collision_senders)} collision slots, "

@@ -1,12 +1,17 @@
 import json
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtseq.core import CrtParams, Variant, generate_sequence
 from crtseq.correlation import hamming_correlation
 from crtseq.channel import (
+    _SuccessCounter,
     ActivitySignal,
     Scenario,
     UserSpec,
@@ -225,6 +230,129 @@ class TestThroughputExperiments:
     def test_adversarial_search_respects_bound_four_users(self):
         found = adversarial_min_throughput(7, 3, (1, 2, 4, 6), restarts=8, seed=11)
         assert found >= float(throughput_lower_bound(7, 3, 4))
+
+    def test_adversarial_search_results_are_pinned(self):
+        # the greedy path's exact results: 13 and 40 successes per period
+        assert adversarial_min_throughput(5, 2, (1, 2, 3), restarts=10, seed=3) == 13 / 45
+        assert adversarial_min_throughput(7, 3, (1, 2, 4, 6), restarts=8, seed=11) == 40 / 140
+
+
+def oracle_success_counts(offsets, generators, params):
+    """Slots with exactly one transmitter per offset row, by counting every
+    slot of the period: the L-slot bincount the column kernel replaced."""
+    L = params.L
+    supports = [generate_sequence(g, params).support() for g in generators]
+    offsets = np.asarray(offsets, dtype=np.int64)
+    rows = np.arange(offsets.shape[0])[:, None] * L
+    pos = [(s[None, :] + offsets[:, u, None]) % L + rows for u, s in enumerate(supports)]
+    counts = np.bincount(
+        np.concatenate(pos, axis=1).ravel(), minlength=offsets.shape[0] * L
+    ).reshape(-1, L)
+    return (counts == 1).sum(axis=1)
+
+
+def oracle_pair_throughput(p, k, generators):
+    """exhaustive_pair_throughput by enumerating all L^2 offset pairs."""
+    params = construction_params(p, k)
+    L = params.L
+    grid = np.stack(np.meshgrid(np.arange(L), np.arange(L), indexing="ij"), axis=-1)
+    thr = oracle_success_counts(grid.reshape(-1, 2), generators, params) / L
+    return L * L, float(thr.min()), float(thr.mean()), float(thr.max())
+
+
+@st.composite
+def kernel_cases(draw):
+    """Parameters (p up to 67, so two words per column), a generator set
+    (every generator, as monte_carlo_throughput uses at M = p, or any
+    subset, generator 0 allowed) and offset rows with repeats and the
+    extreme delays 0 and L - 1."""
+    p = draw(st.sampled_from([3, 5, 7, 37, 67]))
+    q = draw(st.integers(2, 2 * p + 3).filter(lambda q: math.gcd(p, q) == 1))
+    params = CrtParams(p, q, draw(st.sampled_from(list(Variant))))
+    L = params.L
+    if draw(st.booleans()):
+        gens = tuple(range(p))
+    else:
+        gens = tuple(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8, unique=True)))
+    delay = st.one_of(st.sampled_from([0, L - 1]), st.integers(0, L - 1))
+    row = st.lists(delay, min_size=len(gens), max_size=len(gens))
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))  # repeated rows
+    return params, gens, np.array(rows, dtype=np.int64)
+
+
+class TestSuccessCounter:
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_slot_counting(self, case):
+        params, gens, offsets = case
+        assert np.array_equal(
+            _SuccessCounter(params, gens)(offsets), oracle_success_counts(offsets, gens, params)
+        )
+
+    def test_two_words_per_column(self):
+        params = construction_params(67, 2)  # q = 133, W = 2
+        gens = tuple(range(67))
+        rng = np.random.default_rng(5)
+        offsets = rng.integers(0, params.L, size=(40, 67))
+        offsets[0] = 0
+        offsets[1] = params.L - 1
+        offsets[2, 1::2] = offsets[2, ::2][:33]  # pairs of users share a delay
+        counts = _SuccessCounter(params, gens)(offsets)
+        assert np.array_equal(counts, oracle_success_counts(offsets, gens, params))
+        # at one common delay the p generators meet only in columns 0 and p
+        assert counts[0] == 67 * (133 - 2)
+
+    def test_spans_several_batches(self):
+        params = construction_params(5, 2)
+        gens = (0, 2, 4)
+        offsets = np.random.default_rng(2).integers(0, params.L, size=(5000, 3))  # two batches
+        assert np.array_equal(
+            _SuccessCounter(params, gens)(offsets), oracle_success_counts(offsets, gens, params)
+        )
+
+    def test_rejects_generator_outside_field(self):
+        with pytest.raises(ValueError, match="generator"):
+            _SuccessCounter(construction_params(5, 2), (1, 5))
+
+
+@pytest.mark.parametrize(("p", "k"), [(5, 2), (7, 2), (7, 3)])
+def test_exhaustive_pair_matches_enumeration(p, k):
+    for pair in combinations(range(p), 2):
+        rep = exhaustive_pair_throughput(p, k, pair)
+        trials, lo, mean, hi = oracle_pair_throughput(p, k, pair)
+        assert (rep.trials, rep.minimum, rep.maximum) == (trials, lo, hi), pair
+        assert abs(rep.mean - mean) <= 1e-12, pair
+        assert rep.mean == float(Fraction(2 * (p - 1), p * p))  # 2q(L - q)/L^2, rounded once
+
+
+def three_user_counts(p, k, generators):
+    """Success counts of every offset triple with user 0 at delay 0: by
+    shift invariance these are all the values the L^3 triples take."""
+    params = construction_params(p, k)
+    L = params.L
+    b, c = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
+    offsets = np.stack([np.zeros(L * L, dtype=np.int64), b.ravel(), c.ravel()], axis=1)
+    return _SuccessCounter(params, generators)(offsets)
+
+
+def test_fixing_one_delay_loses_no_offset_triple():
+    params = construction_params(5, 2)
+    grid = np.stack(np.meshgrid(*[np.arange(params.L)] * 3, indexing="ij"), axis=-1)
+    every = _SuccessCounter(params, (0, 1, 3))(grid.reshape(-1, 3))
+    fixed = three_user_counts(5, 2, (0, 1, 3))
+    assert np.array_equal(np.bincount(every), params.L * np.bincount(fixed))
+
+
+@pytest.mark.parametrize(("p", "k"), [(5, 2), (7, 2), (7, 3)])
+def test_exhaustive_three_user_worst_case_meets_bound(p, k):
+    L = construction_params(p, k).L
+    bound = throughput_lower_bound(p, k, 3)
+    for gens in combinations(range(p), 3):
+        worst = int(three_user_counts(p, k, gens).min())
+        assert Fraction(worst, L) >= bound, gens
+        found = adversarial_min_throughput(p, k, gens, restarts=4, seed=sum(gens))
+        assert found >= worst / L, gens  # both count / L, so the order is exact
 
 
 class TestScenarioJson:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from crtseq import channel
+from crtseq import channel, cli
 from crtseq.cli import main
 from crtseq.core import read_sequence_file
 
@@ -21,6 +21,15 @@ FAILURE_SCENARIO = {
         {"id": 6, "g": 6, "offset": 1},
     ],
 }
+
+
+# sweep.csv of `sweep --p 37 --k-range 2:3 --m 19 --trials 2000 --seed 1`,
+# recorded from the L-slot bincount counter the column kernel replaced
+SWEEP_GOLDEN = (
+    b"k,L,min,mean,max,bound\n"
+    b"2,2701,0.289893,0.313555,0.334691,0.177095\n"
+    b"3,4070,0.296560,0.313366,0.332924,0.198587\n"
+)
 
 
 @pytest.fixture
@@ -94,6 +103,14 @@ class TestSimulate:
                 rows.append(f"{t},collision,{'+'.join(map(str, outcome[1]))}")
         assert {row.split(",")[1] for row in rows[1:]} == {"idle", "success", "collision"}
         assert out.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    def test_trace_csv_blocks_join_seamlessly(self, tmp_path, capsys, failure_scenario,
+                                              monkeypatch):
+        whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+        assert main(["simulate", "--scenario", str(failure_scenario), "--out", str(whole)]) == 0
+        monkeypatch.setattr(cli, "_CSV_BLOCK_SLOTS", 5)  # 58 slots: 11 full blocks and 3
+        assert main(["simulate", "--scenario", str(failure_scenario), "--out", str(blocks)]) == 0
+        assert blocks.read_bytes() == whole.read_bytes()
 
     def test_missing_scenario_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
@@ -192,6 +209,12 @@ class TestSweep:
         assert (k, L) == ("2", "45")
         assert float(mn) <= float(mean) <= float(mx)
 
+    def test_golden_csv(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--p", "37", "--k-range", "2:3", "--m", "19",
+                     "--trials", "2000", "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == SWEEP_GOLDEN
+
     def test_thread_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CRTSEQ_THREADS", "2")
         out = tmp_path / "curve.csv"
@@ -282,6 +305,19 @@ def test_malformed_scenario_is_usage_error(tmp_path, capsys, command, scenario, 
     assert code == 2
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sync"])
+def test_json_string_scenario_is_not_decoded_twice(tmp_path, capsys, command):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(json.dumps(FAILURE_SCENARIO)))  # a JSON string holding one
+    out_flag = "--out" if command == "simulate" else "--emit"
+    code = main([command, "--scenario", str(path), out_flag, str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "must be a JSON object" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize(
