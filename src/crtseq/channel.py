@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CrtParams, Variant, generate_sequence, is_prime
+from .core import CrtParams, Variant, crt_map, generate_sequence, is_prime
 from .correlation import correlation_spectrum
 
 __all__ = [
@@ -343,17 +343,16 @@ class _SuccessCounter:
     def __call__(self, offsets: np.ndarray) -> np.ndarray:
         """Slots with exactly one transmitter; offsets has shape (n, M),
         row i assigning a delay to each of the M users."""
-        params, q = self.params, self.params.q
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if params.variant is Variant.MODIFIED:
-            cols = (params.gamma * offsets) % q
-        else:
-            cols = offsets % q
-        starts = (offsets % params.p) * (2 * q) + (q - cols)
+        q = self.params.q
+        starts, cols = crt_map(np.asarray(offsets, dtype=np.int64), self.params)
+        starts *= 2 * q  # in place: column a*2q + q - c of the residue pair (a, c)
+        starts += q
+        starts -= cols
+        del cols  # free the column residues before the batches
         lanes = q * self.words
         batch = max(1, self._BATCH_WORDS // lanes)
-        out = np.empty(offsets.shape[0], dtype=np.int64)
-        for lo in range(0, offsets.shape[0], batch):
+        out = np.empty(starts.shape[0], dtype=np.int64)
+        for lo in range(0, starts.shape[0], batch):
             chunk = starts[lo : lo + batch]
             once = np.zeros((chunk.shape[0], lanes), dtype=np.uint64)
             multi = np.zeros_like(once)
@@ -377,6 +376,10 @@ def monte_carlo_throughput(
     """Sample delay offsets i.i.d. uniform over Z_L and measure one-period
     system throughput.  Defaults to generators 1..m_users."""
     params = construction_params(p, k)
+    if m_users < 1:
+        raise ValueError(f"need at least one user, got m_users={m_users}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
     if generators is None:
         if m_users > p:
             raise ValueError("more users than available sequences")
@@ -419,6 +422,10 @@ def adversarial_min_throughput(
     +-1 coordinate descent on the success count.  Returns the worst
     throughput found (an upper bound on the true worst case)."""
     params = construction_params(p, k)
+    if not generators:
+        raise ValueError(f"need at least one generator, got {generators!r}")
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got restarts={restarts}")
     count = _SuccessCounter(params, generators)
     L = params.L
     m = len(generators)

@@ -4,7 +4,7 @@ Subcommands: generate, correlate, simulate, sweep, sync, session, compare.
 Numeric artifacts go to files (CSV/JSON, written atomically); stdout gets a
 short human summary.  Exit codes: 0 success, 1 a guarantee that should hold
 was violated, 2 usage error.  JSON encodes exact rationals as "num/den"
-strings.  CRTSEQ_THREADS caps sweep parallelism (0 = auto).
+strings.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -50,15 +49,6 @@ def _write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CRTSEQ_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CRTSEQ_THREADS must be an integer, got {raw!r}") from exc
-    return os.cpu_count() or 1 if n == 0 else max(1, n)
-
-
 def _params(args) -> CrtParams:
     return CrtParams(args.p, args.q, Variant.parse(args.variant))
 
@@ -89,7 +79,7 @@ def _cmd_correlate(args) -> int:
     spec = correlation.correlation_spectrum(a, b)
     try:
         predicted = correlation.predicted_distribution(
-            (args.g * pow(args.h, -1, params.p)) % params.p if args.h != 0 else 0, params
+            correlation.reduced_generator(args.g, args.h, params.p), params
         )
     except (correlation.UnsupportedParameters, ValueError):
         predicted = None
@@ -149,22 +139,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    ks = _parse_range(args.k_range)
-    workers = _thread_count()
-
-    def one(k: int):
-        rep = channel.monte_carlo_throughput(args.p, k, args.m, args.trials, args.seed + k)
-        return k, rep, channel.peak_throughput_bound(args.p, k)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, ks))
-    else:
-        results = [one(k) for k in ks]
     rows = ["k,L,min,mean,max,bound"]
-    for k, rep, bound in results:
-        L = k * args.p * args.p - args.p
-        rows.append(f"{k},{L},{rep.minimum:.6f},{rep.mean:.6f},{rep.maximum:.6f},{float(bound):.6f}")
+    for k in _parse_range(args.k_range):
+        rep = channel.monte_carlo_throughput(args.p, k, args.m, args.trials, args.seed + k)
+        L = channel.construction_params(args.p, k).L
+        bound = float(channel.peak_throughput_bound(args.p, k))
+        rows.append(f"{k},{L},{rep.minimum:.6f},{rep.mean:.6f},{rep.maximum:.6f},{bound:.6f}")
     _write_atomic(args.out, "\n".join(rows) + "\n")
     for line in rows:
         print(line)
@@ -312,10 +292,9 @@ def _cmd_session(args) -> int:
 def _cmd_compare(args) -> int:
     p, k = args.p, args.k
     rows = ["family,period,epsilon,note"]
-    crt = [generate_sequence(g, channel.construction_params(p, k)) for g in range(p)]
-    rows.append(
-        f"crt,{k * p * p - p},{_frac(correlation.epsilon_uniformity(crt))},computed"
-    )
+    params = channel.construction_params(p, k)
+    crt = [generate_sequence(g, params) for g in range(p)]
+    rows.append(f"crt,{params.L},{_frac(correlation.epsilon_uniformity(crt))},computed")
     prime = baselines.prime_sequences(p)
     rows.append(
         f"prime,{prime.period},{_frac(correlation.epsilon_uniformity(list(prime.sequences)))},computed"
@@ -335,8 +314,12 @@ def _cmd_compare(args) -> int:
 def _parse_range(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(x) for x in text.split(",")]
+    if not values:
+        raise ValueError(f"empty range {text!r}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -71,7 +71,10 @@ class Variant(enum.Enum):
 
 
 class GridPoint(NamedTuple):
-    """A point of Z_p (+) Z_q: row residue mod p, column residue mod q."""
+    """A point of Z_p (+) Z_q: row residue mod p, column residue mod q.
+
+    The fields are ints, or integer arrays of one shape for many points.
+    """
 
     row: int
     col: int
@@ -90,6 +93,8 @@ class CrtParams:
     q: int
     variant: Variant = Variant.STANDARD
     gamma: int | None = None
+    _col_scale: int = field(init=False, repr=False, compare=False)
+    _units: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p) or self.p < 3:
@@ -108,6 +113,14 @@ class CrtParams:
                 )
         elif self.gamma is not None:
             raise ValueError("gamma is only defined for the modified variant")
+        scale = self.gamma % self.q if self.variant is Variant.MODIFIED else 1
+        object.__setattr__(self, "_col_scale", scale)
+        # slots of the grid points (1, 0) and (0, 1); the inverse map is linear
+        object.__setattr__(
+            self,
+            "_units",
+            (self.q * pow(self.q, -1, self.p), self.p * pow(scale * self.p, -1, self.q)),
+        )
 
     @property
     def L(self) -> int:
@@ -115,29 +128,26 @@ class CrtParams:
         return self.p * self.q
 
 
-def crt_map(x: int, params: CrtParams) -> GridPoint:
-    """Map a time index in Z_L to its residue pair.
+def crt_map(x, params: CrtParams) -> GridPoint:
+    """Map a time index in Z_L, or an integer array of them, to its residue
+    pair (a GridPoint of arrays for array input).
 
     The map is bijective and linear: the image of a sum (mod L) is the
     componentwise sum of the images.
     """
-    if not 0 <= x < params.L:
-        raise ValueError(f"index {x} outside 0..{params.L - 1}")
-    if params.variant is Variant.MODIFIED:
-        return GridPoint(x % params.p, (params.gamma * x) % params.q)
-    return GridPoint(x % params.p, x % params.q)
+    xs = np.asarray(x)
+    bad = xs[(xs < 0) | (xs >= params.L)]
+    if bad.size:
+        raise ValueError(f"index {bad[0]} outside 0..{params.L - 1}")
+    return GridPoint(x % params.p, (params._col_scale * x) % params.q)
 
 
-def crt_inverse(pt: GridPoint, params: CrtParams) -> int:
-    """Unique time index in 0..L-1 mapping to the given residue pair."""
-    p, q = params.p, params.q
-    row, col = pt.row % p, pt.col % q
-    if params.variant is Variant.MODIFIED:
-        # gamma*x = col (mod q)  <=>  x = p*col (mod q), since gamma*p = 1.
-        col = (params.p * col) % q
-    # Standard two-modulus reconstruction.
-    x = (row * q * pow(q, -1, p) + col * p * pow(p, -1, q)) % (p * q)
-    return int(x)
+def crt_inverse(pt: GridPoint, params: CrtParams):
+    """Unique time index in 0..L-1 mapping to the given residue pair; an
+    array of indices for a GridPoint of arrays."""
+    e_row, e_col = params._units
+    x = ((pt.row % params.p) * e_row + (pt.col % params.q) * e_col) % params.L
+    return x if np.ndim(x) else int(x)
 
 
 @dataclass(frozen=True)
@@ -157,10 +167,14 @@ class CharacteristicSet:
             raise ValueError("characteristic set must contain exactly q points")
 
 
-def characteristic_set(g: int, params: CrtParams) -> CharacteristicSet:
-    """Grid support generated by g: one point in every column."""
+def _check_generator(g: int, params: CrtParams) -> None:
     if not 0 <= g < params.p:
         raise ValueError(f"generator {g} outside 0..{params.p - 1}")
+
+
+def characteristic_set(g: int, params: CrtParams) -> CharacteristicSet:
+    """Grid support generated by g: one point in every column."""
+    _check_generator(g, params)
     pts = frozenset(GridPoint((g * t) % params.p, t) for t in range(params.q))
     return CharacteristicSet(params, g, pts)
 
@@ -247,35 +261,27 @@ class BinarySequence:
 
 def generate_sequence(g: int, params: CrtParams) -> BinarySequence:
     """Protocol sequence of generator g: bit t is one iff the residue pair
-    of t lies in the characteristic set.  Weight is always q."""
-    pts = characteristic_set(g, params).points
-    support = [crt_inverse(pt, params) for pt in pts]
+    of t lies in the characteristic set {(g*c mod p, c)}.  Weight is always q."""
+    _check_generator(g, params)
+    cols = np.arange(params.q)
+    support = crt_inverse(GridPoint((g * cols) % params.p, cols), params)
     return BinarySequence.from_support(support, params.L)
 
 
 def points_to_sequence(points: Iterable[GridPoint], params: CrtParams) -> BinarySequence:
     """Schedule whose ones sit at the preimages of the given grid points."""
-    support = [crt_inverse(pt, params) for pt in points]
-    if len(set(support)) != len(support):
+    pts = np.array(list(points), dtype=np.int64).reshape(-1, 2)
+    support = crt_inverse(GridPoint(pts[:, 0], pts[:, 1]), params)
+    if np.unique(support).size != support.size:
         raise ValueError("grid points are not distinct")
     return BinarySequence.from_support(support, params.L)
-
-
-def _grid_coords(params: CrtParams) -> tuple[np.ndarray, np.ndarray]:
-    ts = np.arange(params.L)
-    rows = ts % params.p
-    if params.variant is Variant.MODIFIED:
-        cols = (params.gamma * ts) % params.q
-    else:
-        cols = ts % params.q
-    return rows, cols
 
 
 def sequence_to_array(seq: BinarySequence, params: CrtParams) -> np.ndarray:
     """p x q array view of a sequence; entry at the residue pair of t is s(t)."""
     if len(seq) != params.L:
         raise ValueError(f"sequence length {len(seq)} != p*q = {params.L}")
-    rows, cols = _grid_coords(params)
+    rows, cols = crt_map(np.arange(params.L), params)
     arr = np.zeros((params.p, params.q), dtype=np.uint8)
     arr[rows, cols] = seq.bits
     return arr
@@ -286,7 +292,7 @@ def array_to_sequence(arr: np.ndarray, params: CrtParams) -> BinarySequence:
     arr = np.asarray(arr)
     if arr.shape != (params.p, params.q):
         raise ValueError(f"array shape {arr.shape} != ({params.p}, {params.q})")
-    rows, cols = _grid_coords(params)
+    rows, cols = crt_map(np.arange(params.L), params)
     return BinarySequence(arr[rows, cols])
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "correlation_spectrum",
     "cross_params",
     "predicted_cross_range",
+    "reduced_generator",
     "predicted_distribution",
     "predicted_autocorrelation",
     "count_congruent",
@@ -151,7 +152,7 @@ def cross_params(g: int, params: CrtParams) -> CrossParams:
     )
 
 
-def _reduce_pair(g: int, h: int, p: int) -> int:
+def reduced_generator(g: int, h: int, p: int) -> int:
     """Reduce the pair (g, h) to an equivalent (g', 1) with the same
     correlation distribution; pairs involving generator 0 reduce to 0."""
     if h == 0 or g == 0:
@@ -174,7 +175,7 @@ def predicted_cross_range(g: int, h: int, params: CrtParams) -> tuple[int, int]:
     if g == h:
         raise ValueError("generators must differ (use predicted_autocorrelation)")
     m = params.q // p
-    reduced = _reduce_pair(g, h, p)
+    reduced = reduced_generator(g, h, p)
     if reduced == 0:
         return (m, m + 1)
     if params.q <= p:

@@ -20,7 +20,6 @@ partial correlations, and the uncovered-ones witness - lives here too.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ from .core import (
     CrtParams,
     GridPoint,
     Variant,
-    characteristic_set,
+    crt_inverse,
     crt_map,
     generate_sequence,
 )
@@ -226,21 +225,8 @@ def slot_matrix(params: CrtParams) -> np.ndarray:
     """
     if params.variant is not Variant.MODIFIED:
         raise ValueError("slot layout is defined for the modified variant only")
-    ts = np.arange(params.L)
-    mat = np.zeros((params.p, params.q), dtype=np.int64)
-    mat[ts % params.p, (params.gamma * ts) % params.q] = ts
-    return mat
-
-
-@functools.lru_cache(maxsize=None)
-def _char_points(g: int, params: CrtParams) -> frozenset[GridPoint]:
-    return characteristic_set(g, params).points
-
-
-@functools.lru_cache(maxsize=None)
-def _prefix_window(params: CrtParams) -> frozenset[GridPoint]:
-    """Grid image of the first p^2 slots."""
-    return frozenset(crt_map(t, params) for t in range(params.p * params.p))
+    rows, cols = np.ogrid[: params.p, : params.q]
+    return crt_inverse(GridPoint(rows, cols), params)
 
 
 def partial_cross_correlation(
@@ -265,20 +251,17 @@ def partial_cross_correlation(
     p, q = params.p, params.q
     if band is not None and not 0 <= band <= q - p:
         raise ValueError(f"band start {band} outside 0..{q - p}")
-    ig = _char_points(g, params)
-    ih = _char_points(h, params)
     dr, dc = int(shift[0]) % p, int(shift[1]) % q
-    prefix = _prefix_window(params) if band is None else None
-    count = 0
-    for pt in ig:
-        if band is None:
-            if pt not in prefix:
-                continue
-        elif not band <= pt.col < band + p:
-            continue
-        if GridPoint((pt.row - dr) % p, (pt.col - dc) % q) in ih:
-            count += 1
-    return count
+    # g's point in column c is (g*c, c); the shifted h has a point there
+    # iff h*((c - dc) mod q) = g*c - dr (mod p)
+    cols = np.arange(q)
+    rows = (g * cols) % p
+    hits = (h * ((cols - dc) % q)) % p == (rows - dr) % p
+    if band is None:
+        window = crt_inverse(GridPoint(rows, cols), params) < p * p
+    else:
+        window = (band <= cols) & (cols < band + p)
+    return int(np.count_nonzero(hits & window))
 
 
 @dataclass(frozen=True)
@@ -309,19 +292,18 @@ def uncovered_ones(g: int, tau: int, params: CrtParams) -> UncoveredOnes:
         raise ValueError(f"shift {tau} outside 1..{L - 1}")
     bits = generate_sequence(g, params).bits
     support = np.flatnonzero(bits)
-    uncovered = {int(t) for t in support if t < tau or bits[t - tau] == 0}
+    covered = (support >= tau) & (bits[support - tau] == 1)
+    uncovered = frozenset(support[~covered].tolist())
 
-    prefix_ones = {int(t) for t in support if t < p * p}
-    if prefix_ones <= uncovered:
-        return UncoveredOnes(frozenset(uncovered), "prefix")
+    if not np.any(covered & (support < p * p)):
+        return UncoveredOnes(uncovered, "prefix")
 
-    by_col: dict[int, list[int]] = {}
-    for t in support:
-        by_col.setdefault(int((params.gamma * int(t)) % q), []).append(int(t))
-    for y in range(q - p + 1):
-        band_ones = {t for c in range(y, y + p) for t in by_col.get(c, ())}
-        if band_ones <= uncovered:
-            return UncoveredOnes(frozenset(uncovered), "band", y)
+    # a band of p columns is a witness when it holds no covered one
+    per_col = np.bincount(crt_map(support[covered], params).col, minlength=q)
+    in_band = np.convolve(per_col, np.ones(p, dtype=np.int64), mode="valid")
+    empty = np.flatnonzero(in_band == 0)
+    if empty.size:
+        return UncoveredOnes(uncovered, "band", int(empty[0]))
     raise AssertionError(
         f"no witness window for g={g}, tau={tau}: uncovered-ones containment violated"
     )

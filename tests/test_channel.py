@@ -231,6 +231,20 @@ class TestThroughputExperiments:
         found = adversarial_min_throughput(7, 3, (1, 2, 4, 6), restarts=8, seed=11)
         assert found >= float(throughput_lower_bound(7, 3, 4))
 
+    @pytest.mark.parametrize(
+        "m_users, trials, named",
+        [(0, 10, "m_users=0"), (-1, 10, "m_users=-1"), (2, 0, "trials=0"), (2, -5, "trials=-5")],
+    )
+    def test_monte_carlo_rejects_degenerate_input(self, m_users, trials, named):
+        with pytest.raises(ValueError, match=named):
+            monte_carlo_throughput(5, 2, m_users, trials=trials, seed=0)
+
+    def test_adversarial_search_rejects_degenerate_input(self):
+        with pytest.raises(ValueError, match="generator"):
+            adversarial_min_throughput(5, 2, ())
+        with pytest.raises(ValueError, match="restarts=0"):
+            adversarial_min_throughput(5, 2, (1, 2), restarts=0)
+
     def test_adversarial_search_results_are_pinned(self):
         # the greedy path's exact results: 13 and 40 successes per period
         assert adversarial_min_throughput(5, 2, (1, 2, 3), restarts=10, seed=3) == 13 / 45

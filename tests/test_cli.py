@@ -215,18 +215,26 @@ class TestSweep:
                      "--trials", "2000", "--seed", "1", "--out", str(out)]) == 0
         assert out.read_bytes() == SWEEP_GOLDEN
 
-    def test_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CRTSEQ_THREADS", "2")
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ({"--m": "0"}, "m_users=0"),
+            ({"--m": "-1"}, "m_users=-1"),
+            ({"--trials": "0"}, "trials=0"),
+            ({"--trials": "-5"}, "trials=-5"),
+            ({"--k-range": "3:2"}, "'3:2'"),
+        ],
+    )
+    def test_degenerate_input_is_usage_error(self, tmp_path, capsys, override, named):
         out = tmp_path / "curve.csv"
-        assert main(["sweep", "--p", "5", "--k-range", "2,4", "--m", "2",
-                     "--trials", "50", "--seed", "1", "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 3
-
-    def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CRTSEQ_THREADS", "many")
-        assert main(["sweep", "--p", "5", "--k-range", "2:2", "--m", "2",
-                     "--trials", "10", "--seed", "1",
-                     "--out", str(tmp_path / "c.csv")]) == 2
+        argv = ["sweep", "--p", "5", "--out", str(out)]
+        for flag, value in {"--k-range": "2:3", "--m": "2", "--trials": "10", **override}.items():
+            argv += [flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSession:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crtseq.core import (
     BinarySequence,
@@ -31,6 +33,7 @@ GRID = [
     CrtParams(7, 8, Variant.MODIFIED),
     CrtParams(5, 51, Variant.MODIFIED),
     CrtParams(11, 13),
+    CrtParams(7, 8, Variant.MODIFIED, gamma=15),  # explicit gamma, not reduced mod q
 ]
 
 
@@ -81,12 +84,15 @@ class TestResidueMap:
         assert crt_inverse(GridPoint(1, 2), P35) == 7
         assert crt_inverse(GridPoint(0, 0), P35) == 0
         assert crt_inverse(GridPoint(2, 4), P35) == 14
+        assert type(crt_inverse(GridPoint(np.int64(1), np.int64(2)), P35)) is int
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             crt_map(15, P35)
         with pytest.raises(ValueError):
             crt_map(-1, P35)
+        with pytest.raises(ValueError, match="index 15"):
+            crt_map(np.array([[0, 3], [15, 2]]), P35)
 
     @pytest.mark.parametrize("params", GRID)
     def test_bijective(self, params):
@@ -94,6 +100,12 @@ class TestResidueMap:
         assert len(images) == params.L
         for x in range(params.L):
             assert crt_inverse(crt_map(x, params), params) == x
+        xs = np.arange(params.L)
+        rows, cols = crt_map(xs, params)
+        assert [(int(r), int(c)) for r, c in zip(rows, cols)] == [
+            crt_map(x, params) for x in range(params.L)
+        ]
+        assert np.array_equal(crt_inverse(GridPoint(rows, cols), params), xs)
 
     @pytest.mark.parametrize("params", GRID)
     def test_linear(self, params):
@@ -104,6 +116,15 @@ class TestResidueMap:
                 fx, fy = crt_map(x, params), crt_map(y, params)
                 combined = GridPoint((fx.row + fy.row) % params.p, (fx.col + fy.col) % params.q)
                 assert crt_map((x + y) % L, params) == combined
+        x, y = np.meshgrid(xs, xs)
+        fx, fy = crt_map(x, params), crt_map(y, params)
+        fs = crt_map((x + y) % L, params)
+        assert np.array_equal(fs.row, (fx.row + fy.row) % params.p)
+        assert np.array_equal(fs.col, (fx.col + fy.col) % params.q)
+        # the inverse is linear too, and accepts unreduced residues
+        assert np.array_equal(
+            crt_inverse(GridPoint(fx.row + fy.row, fx.col + fy.col), params), (x + y) % L
+        )
 
 
 class TestCharacteristicSets:
@@ -129,7 +150,27 @@ class TestCharacteristicSets:
             characteristic_set(3, P35)
 
 
+@st.composite
+def params_and_generator(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 37]))
+    q = draw(st.integers(2, 3 * p + 4).filter(lambda q: q % p))
+    variant = draw(st.sampled_from(list(Variant)))
+    gamma = None
+    if variant is Variant.MODIFIED:
+        gamma = pow(p, -1, q) + q * draw(st.integers(-2, 2))
+    return CrtParams(p, q, variant, gamma), draw(st.integers(0, p - 1))
+
+
 class TestSequences:
+    @given(params_and_generator())
+    def test_ones_are_the_characteristic_set(self, case):
+        params, g = case
+        points = characteristic_set(g, params).points
+        bits = generate_sequence(g, params).bits
+        assert [int(b) for b in bits] == [
+            int(crt_map(t, params) in points) for t in range(params.L)
+        ]
+
     def test_small_example_bits(self):
         assert str(generate_sequence(0, P35)) == "100100100100100"
         assert str(generate_sequence(1, P35)) == "111110000000000"

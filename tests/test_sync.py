@@ -1,9 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtseq.core import CrtParams, Variant, generate_sequence
+from crtseq.core import (
+    CrtParams,
+    GridPoint,
+    Variant,
+    characteristic_set,
+    crt_map,
+    generate_sequence,
+)
 from crtseq.channel import IDLE, ActivitySignal, Scenario, UserSpec, channel_activity, simulate
 from crtseq.sync import (
     Activated,
@@ -273,7 +282,72 @@ class TestSlotMatrix:
             slot_matrix(CrtParams(3, 19))
 
 
+@functools.lru_cache(maxsize=None)
+def _char_points(g, params):
+    return characteristic_set(g, params).points
+
+
+@functools.lru_cache(maxsize=None)
+def _prefix_window(params):
+    return frozenset(crt_map(t, params) for t in range(params.p * params.p))
+
+
+def oracle_partial_cross_correlation(g, h, shift, params, band=None):
+    """Point-set reading of the windowed overlap: walk g's grid points,
+    keep those in the window (the grid image of the first p^2 slots, or
+    p columns from band), and look up the point shifted back in h's
+    characteristic set."""
+    p, q = params.p, params.q
+    ig, ih, prefix = _char_points(g, params), _char_points(h, params), _prefix_window(params)
+    dr, dc = shift[0] % p, shift[1] % q
+    count = 0
+    for pt in ig:
+        if band is None:
+            if pt not in prefix:
+                continue
+        elif not band <= pt.col < band + p:
+            continue
+        if GridPoint((pt.row - dr) % p, (pt.col - dc) % q) in ih:
+            count += 1
+    return count
+
+
+def oracle_uncovered_ones(g, tau, params):
+    """(slots, witness, band) of uncovered_ones, read off the definition:
+    the first window, prefix then bands left to right, whose ones all
+    stay uncovered."""
+    p, q = params.p, params.q
+    bits = generate_sequence(g, params).bits
+    support = [int(t) for t in np.flatnonzero(bits)]
+    uncovered = {t for t in support if t < tau or bits[t - tau] == 0}
+    if {t for t in support if t < p * p} <= uncovered:
+        return frozenset(uncovered), "prefix", None
+    by_col: dict[int, list[int]] = {}
+    for t in support:
+        by_col.setdefault(crt_map(t, params).col, []).append(t)
+    for y in range(q - p + 1):
+        if {t for c in range(y, y + p) for t in by_col.get(c, ())} <= uncovered:
+            return frozenset(uncovered), "band", y
+    return frozenset(uncovered), None, None
+
+
 class TestPartialCorrelation:
+    @pytest.mark.parametrize("p, q", [(3, 19), (5, 51), (7, 101)])
+    def test_matches_point_set_oracle(self, p, q):
+        # every ordered pair and shift, in the prefix window and in one
+        # band that cycles through all q-p+1 starts as the shift moves
+        params = CrtParams(p, q, Variant.MODIFIED)
+        bands = q - p + 1
+        for g in range(p):
+            for h in range(p):
+                if g == h:
+                    continue
+                for i, shift in enumerate((dr, dc) for dr in range(p) for dc in range(q)):
+                    for band in (None, i % bands):
+                        assert partial_cross_correlation(
+                            g, h, shift, params, band=band
+                        ) == oracle_partial_cross_correlation(g, h, shift, params, band)
+
     def test_bounded_by_two_in_both_windows(self):
         p, q = M551.p, M551.q
         for h in (2, 3):
@@ -306,6 +380,14 @@ class TestPartialCorrelation:
 
 
 class TestUncoveredOnes:
+    @pytest.mark.parametrize("p, q", [(3, 19), (3, 20), (5, 51), (5, 53)])
+    def test_matches_window_oracle(self, p, q):
+        params = CrtParams(p, q, Variant.MODIFIED)
+        for g in range(1, p):
+            for tau in range(1, params.L):
+                res = uncovered_ones(g, tau, params)
+                assert (res.slots, res.witness, res.band) == oracle_uncovered_ones(g, tau, params)
+
     def test_large_shift_uses_prefix_witness(self):
         p = M551.p
         res = uncovered_ones(1, p * p, M551)
