@@ -128,7 +128,7 @@ class CrtParams:
         return self.p * self.q
 
 
-def crt_map(x, params: CrtParams) -> GridPoint:
+def crt_map(x: int | np.ndarray, params: CrtParams) -> GridPoint:
     """Map a time index in Z_L, or an integer array of them, to its residue
     pair (a GridPoint of arrays for array input).
 
@@ -142,7 +142,7 @@ def crt_map(x, params: CrtParams) -> GridPoint:
     return GridPoint(x % params.p, (params._col_scale * x) % params.q)
 
 
-def crt_inverse(pt: GridPoint, params: CrtParams):
+def crt_inverse(pt: GridPoint, params: CrtParams) -> int | np.ndarray:
     """Unique time index in 0..L-1 mapping to the given residue pair; an
     array of indices for a GridPoint of arrays."""
     e_row, e_col = params._units
