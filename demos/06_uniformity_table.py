@@ -8,9 +8,9 @@ epsilon down costs period length: the families below span that trade-off.
 
 from fractions import Fraction
 
-from crtseq import CrtParams, generate_sequence
+from crtseq import CrtParams
 from crtseq.baselines import extended_prime_sequences, prime_sequences
-from crtseq.correlation import epsilon_uniformity
+from crtseq.correlation import crt_epsilon, epsilon_uniformity
 
 p = 5
 rows = []
@@ -20,8 +20,7 @@ ext = extended_prime_sequences(p)
 rows.append(("extended prime", ext.period, epsilon_uniformity(list(ext.sequences))))
 for k in (2, 4, 8):
     params = CrtParams(p, k * p - 1)
-    family = [generate_sequence(g, params) for g in range(p)]
-    eps = epsilon_uniformity(family)
+    eps = crt_epsilon(params)  # one pair per class g*h^-1
     assert eps <= Fraction(p + 1, k * p - 1)
     rows.append((f"residue grid, k={k}", params.L, eps))
 rows.append(("wobbling (reference value)", p**4, Fraction(1, p)))

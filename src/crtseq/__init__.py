@@ -25,6 +25,7 @@ from .core import (
 )
 from .correlation import (
     correlation_spectrum,
+    crt_epsilon,
     epsilon_uniformity,
     hamming_correlation,
     predicted_autocorrelation,
@@ -44,6 +45,7 @@ __all__ = [
     "generate_sequence",
     "multi_rate_characteristic_set",
     "correlation_spectrum",
+    "crt_epsilon",
     "epsilon_uniformity",
     "hamming_correlation",
     "predicted_autocorrelation",

@@ -293,8 +293,7 @@ def _cmd_compare(args) -> int:
     p, k = args.p, args.k
     rows = ["family,period,epsilon,note"]
     params = channel.construction_params(p, k)
-    crt = [generate_sequence(g, params) for g in range(p)]
-    rows.append(f"crt,{params.L},{_frac(correlation.epsilon_uniformity(crt))},computed")
+    rows.append(f"crt,{params.L},{_frac(correlation.crt_epsilon(params))},computed")
     prime = baselines.prime_sequences(p)
     rows.append(
         f"prime,{prime.period},{_frac(correlation.epsilon_uniformity(list(prime.sequences)))},computed"

@@ -224,8 +224,10 @@ class BinarySequence:
     @classmethod
     def from_support(cls, support: Iterable[int], length: int) -> "BinarySequence":
         bits = np.zeros(length, dtype=np.uint8)
-        idx = np.asarray(sorted(support), dtype=np.int64)
-        if idx.size and (idx[0] < 0 or idx[-1] >= length):
+        if not isinstance(support, np.ndarray):
+            support = np.fromiter(support, dtype=np.int64)
+        idx = support.astype(np.int64, copy=False)
+        if idx.size and (idx.min() < 0 or idx.max() >= length):
             raise ValueError("support index out of range")
         bits[idx] = 1
         return cls(bits)

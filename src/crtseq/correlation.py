@@ -5,7 +5,8 @@ support with the cyclic translate of another, counted directly for every
 shift tau.  The closed forms (three-value windows, full shift
 distributions, the autocorrelation formula) are predictions that the test
 suite checks against the brute-force values with zero tolerance.
-Epsilon-uniformity is computed as an exact rational, never a float.
+Epsilon-uniformity is computed as an exact rational, never a float, from
+spectra counted in batches of pairs by one exact-integer kernel.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .core import BinarySequence, CrtParams, GridPoint, crt_map
+from .core import BinarySequence, CrtParams, GridPoint, crt_map, generate_sequence
 
 __all__ = [
     "CorrelationSpectrum",
@@ -34,7 +34,12 @@ __all__ = [
     "count_congruent",
     "pairwise_epsilon",
     "epsilon_uniformity",
+    "crt_epsilon",
 ]
+
+# Differences (and counters) per bincount of the batched spectrum kernel;
+# bounds the kernel's scratch memory independently of the family size.
+_CHUNK = 1 << 16
 
 
 class UnsupportedParameters(ValueError):
@@ -209,8 +214,11 @@ def predicted_distribution(g: int, params: CrtParams) -> dict[int, int]:
     return {j: n for j, n in hist.items() if n != 0}
 
 
-def predicted_autocorrelation(g: int, tau: int, params: CrtParams) -> int:
-    """Closed-form autocorrelation of the sequence of generator g at shift tau.
+def predicted_autocorrelation(
+    g: int, tau: int | np.ndarray, params: CrtParams
+) -> int | np.ndarray:
+    """Closed-form autocorrelation of the sequence of generator g at shift
+    tau, or at every shift of an integer array (an array of the same shape).
 
     Generator 0 repeats with period p, so its autocorrelation is q on
     multiples of p and zero elsewhere.  For g != 0 the support is an
@@ -218,17 +226,18 @@ def predicted_autocorrelation(g: int, tau: int, params: CrtParams) -> int:
     translate is q - k when the translate equals +-k steps, else zero.
     """
     p, q = params.p, params.q
-    tau %= params.L
+    taus = np.asarray(tau) % params.L
     if g == 0:
-        return q if tau % p == 0 else 0
-    pt = crt_map(tau, params)
-    k = pt.col  # + direction: the translate is k steps forward
-    if (g * k) % p == pt.row:
-        return q - k
-    k = (q - pt.col) % q  # - direction
-    if (-g * k) % p == pt.row:
-        return q - k
-    return 0
+        values = np.where(taus % p == 0, q, 0)
+    else:
+        row, col = crt_map(taus, params)
+        back = (q - col) % q
+        values = np.where(
+            (g * col) % p == row,  # + direction: the translate is col steps forward
+            q - col,
+            np.where((-g * back) % p == row, q - back, 0),  # - direction
+        )
+    return values if np.ndim(values) else int(values)
 
 
 def count_congruent(c: int, d: int, b: int, p: int) -> int:
@@ -247,24 +256,96 @@ def count_congruent(c: int, d: int, b: int, p: int) -> int:
     return (d - first - 1) // p + 1
 
 
+def _spectrum_extremes(
+    a_supports: np.ndarray, b_supports: np.ndarray, L: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum and maximum of the spectrum of every row pair: row i of the
+    (n, w_a) and (n, w_b) support matrices is one pair.
+
+    Each chunk of pairs is counted with one bincount over
+    pair * L + (x - y mod L), exactly as correlation_spectrum counts one
+    pair.  A chunk holds at most _CHUNK differences and _CHUNK counters; a
+    pair too large for that is counted in slices of its a-support.
+    """
+    n, w_a = a_supports.shape
+    w_b = b_supports.shape[1]
+    lo = np.empty(n, dtype=np.int64)
+    hi = np.empty(n, dtype=np.int64)
+    pairs = max(1, _CHUNK // max(w_a * w_b, L))
+    rows = max(1, _CHUNK // max(w_b, 1))
+    for start in range(0, n, pairs):
+        a = a_supports[start : start + pairs, :, None]
+        b = b_supports[start : start + pairs, None, :]
+        m = a.shape[0]
+        base = np.arange(m).reshape(m, 1, 1) * L
+        counts = np.zeros(m * L, dtype=np.int64)
+        for j in range(0, w_a, rows):
+            diffs = a[:, j : j + rows] - b
+            diffs %= L
+            diffs += base
+            counts += np.bincount(diffs.ravel(), minlength=m * L)
+        counts = counts.reshape(m, L)
+        lo[start : start + m] = counts.min(axis=1)
+        hi[start : start + m] = counts.max(axis=1)
+    return lo, hi
+
+
+def _epsilon(a_supports: np.ndarray, b_supports: np.ndarray, L: int) -> Fraction:
+    """Largest relative deviation over the row pairs, all of weights
+    (w_a, w_b): the mean correlation is w_a*w_b / L, so the deviation of
+    the extremes lo, hi relative to it is
+    max(hi*L - w_a*w_b, w_a*w_b - lo*L) / (w_a*w_b)."""
+    w = a_supports.shape[1] * b_supports.shape[1]
+    if w == 0:
+        raise ValueError("epsilon is undefined for zero-weight sequences")
+    lo, hi = _spectrum_extremes(a_supports, b_supports, L)
+    return Fraction(max(int(hi.max()) * L - w, w - int(lo.min()) * L), w)
+
+
 def pairwise_epsilon(a: BinarySequence, b: BinarySequence) -> Fraction:
     """Largest relative deviation of the pair's correlation from its
     shift-averaged mean, as an exact rational."""
-    if a.weight == 0 or b.weight == 0:
-        raise ValueError("epsilon is undefined for zero-weight sequences")
-    spec = correlation_spectrum(a, b)
-    mean = spec.mean
-    lo, hi = int(spec.values.min()), int(spec.values.max())
-    dev = max(hi - mean, mean - lo)
-    return dev / mean
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return _epsilon(a.support()[None], b.support()[None], len(a))
 
 
 def epsilon_uniformity(sequences: Sequence[BinarySequence]) -> Fraction:
     """Smallest epsilon such that every pair of distinct sequences deviates
-    from its mean correlation by at most epsilon relatively."""
+    from its mean correlation by at most epsilon relatively.
+
+    Pairs are batched by their weights, one kernel run per weight pair."""
     if len(sequences) < 2:
         raise ValueError("need at least two sequences")
     lengths = {len(s) for s in sequences}
     if len(lengths) != 1:
         raise ValueError("sequences must share a common period")
-    return max(pairwise_epsilon(a, b) for a, b in combinations(sequences, 2))
+    (L,) = lengths
+    by_weight: dict[int, list[np.ndarray]] = {}
+    for s in sequences:
+        by_weight.setdefault(s.weight, []).append(s.support())
+    groups = [np.stack(supports) for _, supports in sorted(by_weight.items())]
+    eps = []
+    for i, a in enumerate(groups):
+        ia, ib = np.triu_indices(len(a), 1)  # pairs within one weight
+        if ia.size:
+            eps.append(_epsilon(a[ia], a[ib], L))
+        for b in groups[i + 1 :]:  # pairs across two weights
+            ia, ib = np.indices((len(a), len(b))).reshape(2, -1)
+            eps.append(_epsilon(a[ia], b[ib], L))
+    return max(eps)
+
+
+def crt_epsilon(params: CrtParams) -> Fraction:
+    """epsilon_uniformity of the p CRT sequences, from one pair per class.
+
+    The row automorphism (r, c) -> (u*r, c) of Z_p (+) Z_q maps translates
+    to translates, so a pair (g, h) has the spectrum of (g*h^-1, 1) up to a
+    permutation of the shifts (reduced_generator), and swapping a pair
+    reverses its spectrum.  The p - 1 representatives (r, 1), r in
+    {0, 2, ..., p-1}, therefore attain every pair's extremes.
+    """
+    reps = [0, *range(2, params.p)]
+    a = np.stack([generate_sequence(r, params).support() for r in reps])
+    b = generate_sequence(1, params).support()
+    return _epsilon(a, np.broadcast_to(b, (len(reps), b.size)), params.L)

@@ -281,8 +281,11 @@ def uncovered_ones(g: int, tau: int, params: CrtParams) -> UncoveredOnes:
     The uncovered set always swallows all ones of one verification window:
     either the first p^2 slots or some p-column band.  Which witness
     applies is reported; absence of any witness would disprove the
-    detector's soundness argument, so it raises.
+    detector's soundness argument, so it raises AssertionError.  Generator
+    0 repeats with period p and lies outside that argument (ValueError).
     """
+    if g == 0:
+        raise ValueError("uncovered-ones analysis excludes generator 0")
     if params.variant is not Variant.MODIFIED:
         raise ValueError("uncovered-ones analysis assumes the modified variant")
     p, q, L = params.p, params.q, params.L

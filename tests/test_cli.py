@@ -31,6 +31,17 @@ SWEEP_GOLDEN = (
     b"3,4070,0.296560,0.313366,0.332924,0.198587\n"
 )
 
+# table.csv of `compare --p 37 --k 6`, recorded from the all-pairs
+# brute-force spectra that the class reduction replaced
+COMPARE_GOLDEN = (
+    b"family,period,epsilon,note\n"
+    b"crt,8177,38/221,computed\n"
+    b"prime,1369,1/1,computed\n"
+    b"extended-prime,2701,1/1,computed\n"
+    b"wobbling,1874161,1/37,not computed\n"
+    b"shift-invariant,exponential(p),0/1,not computed\n"
+)
+
 
 @pytest.fixture
 def failure_scenario(tmp_path):
@@ -362,3 +373,8 @@ class TestCompare:
         assert table["extended-prime"][2] == "1/1"
         assert table["wobbling"][3] == "not computed"
         assert table["shift-invariant"][3] == "not computed"
+
+    def test_golden_csv(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--p", "37", "--k", "6", "--out", str(out)]) == 0
+        assert out.read_bytes() == COMPARE_GOLDEN

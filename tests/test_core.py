@@ -283,6 +283,29 @@ class TestBinarySequence:
         s = BinarySequence.from_support([0, 3], 6)
         assert list(s.shifted(2).support()) == [2, 5]
 
+    @pytest.mark.parametrize(
+        "support",
+        [
+            [5, 0, 3],
+            {3, 5, 0},
+            (t for t in (3, 0, 5)),
+            np.array([5, 3, 0]),
+            np.array([0, 3, 5], dtype=np.uint16),
+        ],
+        ids=["list", "set", "generator", "array", "uint16-array"],
+    )
+    def test_from_support_accepts_any_iterable_in_any_order(self, support):
+        assert str(BinarySequence.from_support(support, 6)) == "100101"
+
+    @pytest.mark.parametrize("support", [[], set(), iter(()), np.array([], dtype=np.int64)])
+    def test_from_support_empty(self, support):
+        assert str(BinarySequence.from_support(support, 4)) == "0000"
+
+    @pytest.mark.parametrize("support", [[2, -1], np.array([6, 0]), {0, 7}])
+    def test_from_support_rejects_out_of_range(self, support):
+        with pytest.raises(ValueError, match="support index out of range"):
+            BinarySequence.from_support(support, 6)
+
     def test_bits_are_read_only(self):
         s = generate_sequence(1, P35)
         with pytest.raises(ValueError):

@@ -1,16 +1,22 @@
+import math
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtseq import correlation
+from crtseq.baselines import extended_prime_sequences, prime_sequences
 from crtseq.core import BinarySequence, CrtParams, Variant, generate_sequence, sequence_to_array
 from crtseq.correlation import (
     UnsupportedParameters,
     correlation_spectrum,
     count_congruent,
     cross_params,
+    crt_epsilon,
     epsilon_uniformity,
     hamming_correlation,
     pairwise_epsilon,
@@ -252,6 +258,20 @@ class TestPredictedAutocorrelation:
             for tau in range(params.L):
                 assert predicted_autocorrelation(g, tau, params) == int(spec[tau])
 
+    @given(
+        params=st.sampled_from([P35, CrtParams(5, 4), CrtParams(7, 8, Variant.MODIFIED)]),
+        g=st.integers(0, 6),
+        taus=st.lists(st.integers(-200, 200), max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_array_call_matches_scalar_calls(self, params, g, taus):
+        g %= params.p
+        values = predicted_autocorrelation(g, np.array(taus, dtype=np.int64), params)
+        scalars = [predicted_autocorrelation(g, tau, params) for tau in taus]
+        assert all(type(v) is int for v in scalars)
+        assert values.shape == (len(taus),)
+        assert values.tolist() == scalars
+
 
 class TestCountCongruent:
     def test_examples(self):
@@ -329,3 +349,112 @@ class TestEpsilonUniformity:
             assert epsilon_uniformity(base) == eps_base
             assert epsilon_uniformity(ext) == eps_ext
             assert eps_ext <= eps_base
+
+
+def oracle_epsilon(sequences) -> Fraction:
+    """epsilon_uniformity read off one correlation_spectrum per pair."""
+    best = Fraction(0)
+    for a, b in combinations(sequences, 2):
+        spec = correlation_spectrum(a, b)
+        lo, hi = int(spec.values.min()), int(spec.values.max())
+        best = max(best, max(hi - spec.mean, spec.mean - lo) / spec.mean)
+    return best
+
+
+@st.composite
+def support_rows(draw):
+    """Row-paired support matrices of one weight pair, plus the period."""
+    L = draw(st.integers(1, 40))
+    w_a, w_b = draw(st.integers(0, L)), draw(st.integers(0, L))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.array([rng.choice(L, w_a, replace=False) for _ in range(n)]).reshape(n, w_a)
+    b = np.array([rng.choice(L, w_b, replace=False) for _ in range(n)]).reshape(n, w_b)
+    return a, b, L
+
+
+class TestSpectrumKernel:
+    @given(rows=support_rows(), chunk=st.sampled_from([1, 5, 64, 1 << 16]))
+    @settings(max_examples=150, deadline=None)
+    def test_extremes_match_per_pair_spectra(self, rows, chunk):
+        # small chunks split the batch between pairs and inside one pair
+        a, b, L = rows
+        with mock.patch.object(correlation, "_CHUNK", chunk):
+            lo, hi = correlation._spectrum_extremes(a, b, L)
+        for i in range(a.shape[0]):
+            spec = correlation_spectrum(
+                BinarySequence.from_support(a[i], L), BinarySequence.from_support(b[i], L)
+            ).values
+            assert (lo[i], hi[i]) == (spec.min(), spec.max())
+
+    def test_prime_family_spans_many_chunks(self):
+        # 666 pairs of 37 x 37 differences: ~14 chunks of at most 2^16
+        family = prime_sequences(37).sequences
+        pairs = list(combinations(family, 2))
+        a = np.stack([x.support() for x, _ in pairs])
+        b = np.stack([y.support() for _, y in pairs])
+        assert a.shape[0] * a.shape[1] * b.shape[1] > 13 * correlation._CHUNK
+        lo, hi = correlation._spectrum_extremes(a, b, 37 * 37)
+        spectra = [correlation_spectrum(x, y).values for x, y in pairs]
+        assert lo.tolist() == [int(v.min()) for v in spectra]
+        assert hi.tolist() == [int(v.max()) for v in spectra]
+
+    @given(
+        L=st.integers(2, 30),
+        weights=st.lists(st.integers(1, 30), min_size=2, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([3, 1 << 16]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unequal_weight_family_matches_pairwise_oracle(self, L, weights, seed, chunk):
+        rng = np.random.default_rng(seed)
+        family = [
+            BinarySequence.from_support(rng.choice(L, min(w, L), replace=False), L)
+            for w in weights
+        ]
+        with mock.patch.object(correlation, "_CHUNK", chunk):
+            got = epsilon_uniformity(family)
+            assert pairwise_epsilon(family[0], family[1]) == oracle_epsilon(family[:2])
+        assert got == oracle_epsilon(family)
+
+    def test_baseline_families_are_one_uniform(self):
+        for build in (prime_sequences, extended_prime_sequences):
+            family = list(build(7).sequences)
+            assert epsilon_uniformity(family) == oracle_epsilon(family) == 1
+
+
+def coprime_grid():
+    return [
+        CrtParams(p, q, variant)
+        for p in (3, 5, 7, 11, 13)
+        for q in range(2, 61)
+        if math.gcd(p, q) == 1
+        for variant in Variant
+    ]
+
+
+class TestCrtEpsilon:
+    def test_class_epsilon_equals_all_pairs(self):
+        # every p in {3..13}, every coprime q <= 60, both residue maps
+        grid = coprime_grid()
+        assert len(grid) == 492
+        for params in grid:
+            family = [generate_sequence(g, params) for g in range(params.p)]
+            assert crt_epsilon(params) == epsilon_uniformity(family), params
+
+    def test_matches_predicted_distribution_extremes(self):
+        for params in coprime_grid():
+            p, q = params.p, params.q
+            if q <= p:
+                continue
+            mean = Fraction(q, p)  # q^2 / L
+            levels = [
+                level
+                for g in (0, *range(2, p))
+                for level in predicted_distribution(g, params)
+            ]
+            expect = max(max(levels) - mean, mean - min(levels)) / mean
+            assert crt_epsilon(params) == expect, params
+
+    def test_small_instance(self):
+        assert crt_epsilon(P35) == Fraction(4, 5)

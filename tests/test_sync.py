@@ -414,6 +414,14 @@ class TestUncoveredOnes:
         with pytest.raises(ValueError):
             uncovered_ones(1, 1, M78)
 
+    @pytest.mark.parametrize("tau", [3, 5])
+    def test_generator_zero_rejected_up_front(self, tau):
+        # generator 0 repeats with period p and lies outside the soundness
+        # argument: at tau = 5 its sequence has no witness window, which
+        # must not read as a disproof
+        with pytest.raises(ValueError, match="generator 0"):
+            uncovered_ones(0, tau, M551)
+
     def test_matches_direct_definition(self):
         seq = generate_sequence(3, M551)
         bits = seq.bits
