@@ -62,7 +62,11 @@ class ActivitySignal:
 
     @classmethod
     def from_string(cls, text: str) -> "ActivitySignal":
-        return cls(np.array([_CODES[ch] for ch in text.strip()], dtype=np.int8))
+        text = text.strip()
+        at = next((i for i, ch in enumerate(text) if ch not in _CODES), None)
+        if at is not None:
+            raise ValueError(f"activity character {text[at]!r} at position {at} is not 0, 1 or *")
+        return cls(np.array([_CODES[ch] for ch in text], dtype=np.int8))
 
     def __len__(self) -> int:
         return int(self.codes.size)
@@ -158,26 +162,17 @@ class Scenario:
 class ChannelTrace:
     """Outcome of a simulation run.
 
-    ``n_senders[t]`` is the number of simultaneous transmitters at slot t;
-    ``sole_sender``/``sole_payload`` identify the delivered packet on
-    success slots (-1 elsewhere); collision participants are kept per slot.
+    ``n_senders[t]`` counts slot t's transmitters; ``sole_sender[t]`` is the lone one (else -1).
+    ``collision_slot``/``collision_sender``: collisions' (slot, user) pairs, by slot, then user.
     """
 
     duration: int
     n_senders: np.ndarray
     sole_sender: np.ndarray
-    sole_payload: np.ndarray
-    collision_senders: dict[int, tuple[int, ...]]
+    collision_slot: np.ndarray
+    collision_sender: np.ndarray
     sent: dict[int, int]
     succeeded: dict[int, int]
-
-    def outcome(self, t: int) -> tuple:
-        n = int(self.n_senders[t])
-        if n == 0:
-            return ("idle",)
-        if n == 1:
-            return ("success", int(self.sole_sender[t]), int(self.sole_payload[t]))
-        return ("collision", self.collision_senders[t])
 
     @property
     def total_successes(self) -> int:
@@ -219,26 +214,24 @@ def simulate(scenario: Scenario) -> ChannelTrace:
         counts[slots] += 1
 
     sole_sender = np.full(scenario.duration, -1, dtype=np.int64)
-    sole_payload = np.full(scenario.duration, -1, dtype=np.int64)
-    collisions: dict[int, list[int]] = {}
-    sent: dict[int, int] = {}
+    lost = [(np.empty(0, dtype=np.int64),) * 2]  # so that no users still concatenates
+    sent = {uid: int(slots.size) for uid, slots in per_user.items()}
     succeeded: dict[int, int] = {}
     for u in scenario.users:
         slots = per_user[u.user_id]
         ok = counts[slots] == 1
         sole_sender[slots[ok]] = u.user_id
-        sole_payload[slots[ok]] = np.flatnonzero(ok)
-        for t in slots[~ok]:
-            collisions.setdefault(int(t), []).append(u.user_id)
-        sent[u.user_id] = int(slots.size)
+        lost.append((slots[~ok], np.full(slots.size - ok.sum(), u.user_id, dtype=np.int64)))
         succeeded[u.user_id] = int(ok.sum())
 
+    collision_slot, collision_sender = map(np.concatenate, zip(*lost))
+    order = np.lexsort((collision_sender, collision_slot))
     return ChannelTrace(
         duration=scenario.duration,
         n_senders=counts,
         sole_sender=sole_sender,
-        sole_payload=sole_payload,
-        collision_senders={t: tuple(sorted(v)) for t, v in collisions.items()},
+        collision_slot=collision_slot[order],
+        collision_sender=collision_sender[order],
         sent=sent,
         succeeded=succeeded,
     )

@@ -110,16 +110,19 @@ _CSV_BLOCK_SLOTS = 1 << 16
 
 
 def _trace_csv_blocks(trace: channel.ChannelTrace) -> Iterator[str]:
-    """trace.csv text in blocks of slots: one row per slot as
-    ChannelTrace.outcome(t) reads it, built from plain lists."""
+    """trace.csv text in blocks of slots, built from plain lists.  A collision
+    row takes its n_senders[t] senders, ascending, in turn from the block's
+    slice of the sorted collision pairs."""
     yield "slot,outcome,sender\n"
     for lo in range(0, trace.duration, _CSV_BLOCK_SLOTS):
         block = slice(lo, lo + _CSV_BLOCK_SLOTS)
+        first, last = np.searchsorted(trace.collision_slot, [lo, lo + _CSV_BLOCK_SLOTS])
+        colliders = iter(trace.collision_sender[first:last].tolist())
         senders = zip(trace.n_senders[block].tolist(), trace.sole_sender[block].tolist())
         yield "".join(
             f"{t},idle,\n" if n == 0
             else f"{t},success,{sender}\n" if n == 1
-            else f"{t},collision,{'+'.join(map(str, trace.collision_senders[t]))}\n"
+            else f"{t},collision,{'+'.join(str(next(colliders)) for _ in range(n))}\n"
             for t, (n, sender) in enumerate(senders, start=lo)
         )
 
@@ -130,7 +133,7 @@ def _cmd_simulate(args) -> int:
     _write_atomic(args.out, _trace_csv_blocks(trace))
     print(
         f"{trace.duration} slots: {trace.total_successes} successes, "
-        f"{len(trace.collision_senders)} collision slots, "
+        f"{np.count_nonzero(trace.n_senders >= 2)} collision slots, "
         f"throughput {_frac(trace.system_throughput)}"
     )
     if args.activity:

@@ -271,6 +271,9 @@ def session_roundtrip(
         raise ValueError("generators must lie in 1..p-1")
     if len(generators) > (p + 1) // 2:
         raise ValueError(f"at most (p+1)/2 = {(p + 1) // 2} active users are supported")
+    bad = [tau for tau in offsets if not 0 <= tau < params.L]
+    if bad:
+        raise ValueError(f"offset {bad[0]} outside 0..{params.L - 1}")
 
     spec = CodeSpec.for_protocol(p, k)
     code = ErasureCode(spec)

@@ -36,6 +36,81 @@ def perm_scenario(params, spec, duration):
     return Scenario(params, users, duration)
 
 
+def oracle_senders(scenario):
+    """Each slot's transmitters in ascending user id, straight from the
+    definition: user u sends at slot t when its sequence has a one at
+    (t - tau) mod L, or at (t - a) mod L inside one of its sessions [a, b)."""
+    L = scenario.params.L
+    offsets = scenario.resolved_offsets()
+    bits = {u.user_id: generate_sequence(u.generator, scenario.params).bits for u in scenario.users}
+
+    def sends(u, t):
+        if u.sessions is None:
+            return bits[u.user_id][(t - offsets[u.user_id]) % L] == 1
+        return any(a <= t < b and bits[u.user_id][(t - a) % L] == 1 for a, b in u.sessions)
+
+    return [
+        tuple(sorted(u.user_id for u in scenario.users if sends(u, t)))
+        for t in range(scenario.duration)
+    ]
+
+
+def outcome(senders):
+    """A slot read as ("idle",), ("success", sender) or ("collision", senders)."""
+    if not senders:
+        return ("idle",)
+    if len(senders) == 1:
+        return ("success", senders[0])
+    return ("collision", senders)
+
+
+def assert_matches_definition(scenario):
+    """simulate(scenario) against oracle_senders; returns the oracle's
+    per-slot outcomes."""
+    trace = simulate(scenario)
+    per_slot = oracle_senders(scenario)
+    outcomes = [outcome(s) for s in per_slot]
+    assert trace.n_senders.tolist() == [len(s) for s in per_slot]
+    assert trace.sole_sender.tolist() == [o[1] if o[0] == "success" else -1 for o in outcomes]
+    pairs = [(t, u) for t, o in enumerate(outcomes) if o[0] == "collision" for u in o[1]]
+    assert trace.collision_slot.dtype == trace.collision_sender.dtype == np.int64
+    assert list(zip(trace.collision_slot.tolist(), trace.collision_sender.tolist())) == pairs
+    ids = [u.user_id for u in scenario.users]
+    assert trace.sent == {u: sum(u in s for s in per_slot) for u in ids}
+    assert trace.succeeded == {u: outcomes.count(("success", u)) for u in ids}
+    return outcomes
+
+
+@st.composite
+def scenarios(draw):
+    """Small scenarios of one to five users of every kind: permanent users with
+    explicit or seed-sampled offsets, session users whose sessions may run
+    past or start after the horizon, generator 0, both variants, and
+    durations that are mostly not a multiple of L."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    q = draw(st.integers(2, 12).filter(lambda q: math.gcd(p, q) == 1))
+    params = CrtParams(p, q, draw(st.sampled_from(list(Variant))))
+    L = params.L
+    gens = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=min(p, 5), unique=True))
+    ids = draw(st.lists(st.integers(0, 99), min_size=len(gens), max_size=len(gens), unique=True))
+    users = []
+    for uid, g in zip(ids, gens):
+        kind = draw(st.sampled_from(["offset", "sampled", "sessions"]))
+        if kind == "offset":
+            users.append(UserSpec(uid, g, draw(st.integers(0, L - 1))))
+        elif kind == "sampled":
+            users.append(UserSpec(uid, g))
+        else:
+            spans, a = [], draw(st.integers(0, 2 * L))
+            for _ in range(draw(st.integers(1, 3))):
+                b = a + draw(st.integers(L, 2 * L))
+                spans.append((a, b))
+                a = b + draw(st.integers(L, 2 * L))
+            users.append(UserSpec(uid, g, None, tuple(spans)))
+    duration = draw(st.integers(1, 6 * L))
+    return Scenario(params, tuple(users), duration, seed=draw(st.integers(0, 2**16)))
+
+
 class TestActivitySignal:
     def test_string_round_trip(self):
         sig = ActivitySignal.from_string("01*10")
@@ -45,6 +120,8 @@ class TestActivitySignal:
     def test_rejects_bad_codes(self):
         with pytest.raises(ValueError):
             ActivitySignal(np.array([0, 3]))
+        with pytest.raises(ValueError, match="'x' at position 2"):
+            ActivitySignal.from_string("01x*")
 
 
 class TestScenarioValidation:
@@ -137,13 +214,16 @@ class TestSimulate:
         a, b = simulate(sc), simulate(sc)
         assert np.array_equal(a.n_senders, b.n_senders)
 
-    def test_collision_outcome_and_payloads(self):
-        sc = perm_scenario(P35, [(1, 1, 0), (2, 2, 0)], 15)
-        trace = simulate(sc)
-        assert trace.outcome(0) == ("collision", (1, 2))
-        kind, sender, payload = trace.outcome(1)
-        assert (kind, sender, payload) == ("success", 1, 1)
-        assert trace.outcome(5) == ("idle",)
+    def test_collision_outcome(self):
+        outcomes = assert_matches_definition(perm_scenario(P35, [(1, 1, 0), (2, 2, 0)], 15))
+        assert outcomes[0] == ("collision", (1, 2))
+        assert outcomes[1] == ("success", 1)
+        assert outcomes[5] == ("idle",)
+
+    @given(scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_definition(self, scenario):
+        assert_matches_definition(scenario)
 
     def test_sessions_restart_the_schedule(self):
         # session [20, 35): transmissions at 20 + support

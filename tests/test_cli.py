@@ -1,11 +1,15 @@
 import copy
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtseq import channel, cli
 from crtseq.cli import main
 from crtseq.core import read_sequence_file
+from test_channel import oracle_senders, outcome, scenarios
 
 FAILURE_SCENARIO = {
     "p": 7,
@@ -41,6 +45,15 @@ COMPARE_GOLDEN = (
     b"wobbling,1874161,1/37,not computed\n"
     b"shift-invariant,exponential(p),0/1,not computed\n"
 )
+
+
+def oracle_trace_csv(scenario) -> str:
+    """trace.csv of the scenario from the per-slot definition: a row per
+    slot with its outcome and its senders in ascending id, joined by '+'."""
+    rows = ["slot,outcome,sender"]
+    for t, senders in enumerate(oracle_senders(scenario)):
+        rows.append(f"{t},{outcome(senders)[0]},{'+'.join(map(str, senders))}")
+    return "\n".join(rows) + "\n"
 
 
 @pytest.fixture
@@ -102,18 +115,22 @@ class TestSimulate:
     def test_trace_csv_matches_slot_outcomes(self, tmp_path, capsys, failure_scenario):
         out = tmp_path / "trace.csv"
         assert main(["simulate", "--scenario", str(failure_scenario), "--out", str(out)]) == 0
-        trace = channel.simulate(channel.scenario_from_json(FAILURE_SCENARIO))
-        rows = ["slot,outcome,sender"]
-        for t in range(trace.duration):
-            outcome = trace.outcome(t)
-            if outcome[0] == "idle":
-                rows.append(f"{t},idle,")
-            elif outcome[0] == "success":
-                rows.append(f"{t},success,{outcome[1]}")
-            else:
-                rows.append(f"{t},collision,{'+'.join(map(str, outcome[1]))}")
-        assert {row.split(",")[1] for row in rows[1:]} == {"idle", "success", "collision"}
-        assert out.read_bytes() == ("\n".join(rows) + "\n").encode()
+        expected = oracle_trace_csv(channel.scenario_from_json(FAILURE_SCENARIO))
+        assert {row.split(",")[1] for row in expected.splitlines()[1:]} == {
+            "idle", "success", "collision"
+        }
+        assert out.read_bytes() == expected.encode()
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"58 slots: {expected.count(',success,')} successes, "
+                                  f"{expected.count(',collision,')} collision slots, ")
+
+    @given(scenarios(), st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_trace_csv_blocks_match_definition(self, scenario, block):
+        # blocks of a few slots put collision rows on both sides of block edges
+        with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
+            text = "".join(cli._trace_csv_blocks(channel.simulate(scenario)))
+        assert text == oracle_trace_csv(scenario)
 
     def test_trace_csv_blocks_join_seamlessly(self, tmp_path, capsys, failure_scenario,
                                               monkeypatch):
@@ -268,6 +285,12 @@ class TestSession:
                      "--offsets", "0,9", "--payload", str(payload_path)])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["all_recovered"] is True
+
+    def test_offset_outside_period_is_usage_error(self, capsys):
+        assert main(["session", "--p", "5", "--k", "5", "--users", "1,2",
+                     "--offsets=-1,99999"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "offset -1 outside 0..129" in err
 
     def test_payload_must_cover_users(self, tmp_path, capsys):
         payload_path = tmp_path / "payload.json"

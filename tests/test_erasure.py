@@ -297,3 +297,8 @@ class TestSessionRoundtrip:
     def test_generator_zero_rejected(self):
         with pytest.raises(ValueError):
             session_roundtrip(5, 5, (0, 1), (0, 1))
+
+    @pytest.mark.parametrize(("offsets", "bad"), [((-1, 99999), -1), ((0, 130), 130)])
+    def test_offset_outside_period_rejected(self, offsets, bad):
+        with pytest.raises(ValueError, match=f"offset {bad} outside 0..129"):
+            session_roundtrip(5, 5, (1, 2), offsets)
