@@ -7,6 +7,7 @@ and near M/p * (1 - 1/p)^(M-1).
 """
 
 from crtseq.channel import (
+    construction_params,
     monte_carlo_throughput,
     optimal_user_count,
     peak_throughput_bound,
@@ -22,7 +23,7 @@ for k in (2, 3, 4, 5, 6):
     rep = monte_carlo_throughput(p, k, M, trials=trials, seed=k)
     at_m = float(throughput_lower_bound(p, k, M))
     peak = float(peak_throughput_bound(p, k))
-    L = k * p * p - p
+    L = construction_params(p, k).L
     print(
         f"{k:>3} {L:>6} {rep.minimum:>7.4f} {rep.mean:>7.4f} {rep.maximum:>7.4f} "
         f"{at_m:>8.4f} {peak:>10.4f}"

@@ -8,8 +8,8 @@ epsilon down costs period length: the families below span that trade-off.
 
 from fractions import Fraction
 
-from crtseq import CrtParams
 from crtseq.baselines import extended_prime_sequences, prime_sequences
+from crtseq.channel import construction_params
 from crtseq.correlation import crt_epsilon, epsilon_uniformity
 
 p = 5
@@ -19,9 +19,9 @@ rows.append(("prime", prime.period, epsilon_uniformity(list(prime.sequences))))
 ext = extended_prime_sequences(p)
 rows.append(("extended prime", ext.period, epsilon_uniformity(list(ext.sequences))))
 for k in (2, 4, 8):
-    params = CrtParams(p, k * p - 1)
+    params = construction_params(p, k)
     eps = crt_epsilon(params)  # one pair per class g*h^-1
-    assert eps <= Fraction(p + 1, k * p - 1)
+    assert eps <= Fraction(p + 1, params.q)
     rows.append((f"residue grid, k={k}", params.L, eps))
 rows.append(("wobbling (reference value)", p**4, Fraction(1, p)))
 rows.append(("shift-invariant (reference)", None, Fraction(0)))

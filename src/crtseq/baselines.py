@@ -19,7 +19,6 @@ __all__ = ["BaselineFamily", "prime_sequences", "extended_prime_sequences"]
 @dataclass(frozen=True)
 class BaselineFamily:
     kind: str  # "prime" or "extended-prime"
-    p: int
     sequences: tuple[BinarySequence, ...]
 
     @property
@@ -27,26 +26,24 @@ class BaselineFamily:
         return len(self.sequences[0])
 
 
-def prime_sequences(p: int) -> BaselineFamily:
-    """p sequences of period p^2; sequence i has its ones at
-    j*p + (i*j mod p) for j = 0..p-1."""
+def _block_family(kind: str, p: int, width: int) -> BaselineFamily:
+    """p sequences of p blocks of the given width; sequence i has its ones
+    at j*width + (i*j mod p) for j = 0..p-1."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     seqs = tuple(
-        BinarySequence.from_support([j * p + (i * j) % p for j in range(p)], p * p)
+        BinarySequence.from_support([j * width + (i * j) % p for j in range(p)], p * width)
         for i in range(p)
     )
-    return BaselineFamily("prime", p, seqs)
+    return BaselineFamily(kind, seqs)
+
+
+def prime_sequences(p: int) -> BaselineFamily:
+    """p sequences of period p^2: blocks of width p."""
+    return _block_family("prime", p, p)
 
 
 def extended_prime_sequences(p: int) -> BaselineFamily:
     """Prime sequences with p-1 zeros inserted after every one: each
     length-p block stretches to 2p-1, keeping one one per block."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    width = 2 * p - 1
-    seqs = tuple(
-        BinarySequence.from_support([j * width + (i * j) % p for j in range(p)], p * width)
-        for i in range(p)
-    )
-    return BaselineFamily("extended-prime", p, seqs)
+    return _block_family("extended-prime", p, 2 * p - 1)

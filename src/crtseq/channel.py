@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CrtParams, Variant, crt_map, generate_sequence, is_prime
+from .core import CrtParams, Variant, crt_map, generate_sequence
 from .correlation import correlation_spectrum
 
 __all__ = [
@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 IDLE, SUCCESS, COLLISION = 0, 1, 2
-_SYMBOLS = {IDLE: "0", SUCCESS: "1", COLLISION: "*"}
-_CODES = {v: k for k, v in _SYMBOLS.items()}
+_CODES = {"0": IDLE, "1": SUCCESS, "*": COLLISION}
+_SYMBOL_BYTES = np.frombuffer(b"01*", dtype=np.uint8)  # ASCII byte of each code
 
 
 class ActivitySignal:
@@ -80,7 +80,7 @@ class ActivitySignal:
         return len(self) == len(other) and bool(np.all(self.codes == other.codes))
 
     def __str__(self) -> str:
-        return "".join(_SYMBOLS[int(c)] for c in self.codes)
+        return _SYMBOL_BYTES[self.codes].tobytes().decode()
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ def channel_activity(trace: ChannelTrace) -> ActivitySignal:
 def construction_params(p: int, k: int) -> CrtParams:
     """Parameters of the fixed-duty family: q = k*p - 1, period k*p^2 - p."""
     if k < 1:
-        raise ValueError("k must be a positive integer")
+        raise ValueError(f"k must be a positive integer, got k={k}")
     return CrtParams(p, k * p - 1)
 
 
@@ -258,20 +258,17 @@ def throughput_lower_bound(p: int, k: int, m_users: int) -> Fraction:
     slots, since no other user can overlap it in more than k + 1 slots per
     period.  Clamped at zero.
     """
-    if not is_prime(p):
-        raise ValueError("p must be prime")
+    params = construction_params(p, k)
     if not 1 <= m_users <= p:
         raise ValueError(f"need 1 <= m_users <= p, got {m_users}")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    length = k * p * p - p
-    per_period = m_users * (k * p - 1 - (m_users - 1) * (k + 1))
-    return Fraction(max(0, per_period), length)
+    per_period = m_users * (params.q - (m_users - 1) * (k + 1))
+    return Fraction(max(0, per_period), params.L)
 
 
 def optimal_user_count(p: int, k: int) -> tuple[Fraction, int]:
     """User count maximizing the worst-case bound: the exact maximizer
     k*(p+1) / (2*(k+1)) and its floor."""
+    construction_params(p, k)  # rejects (p, k) outside the family
     exact = Fraction(k * (p + 1), 2 * (k + 1))
     return exact, math.floor(exact)
 
@@ -282,7 +279,7 @@ def peak_throughput_bound(p: int, k: int) -> Fraction:
     Evaluates the completed-square form of the per-period guarantee at the
     floored optimum; flooring costs at most k + 1 successes per period.
     """
-    length = k * p * p - p
+    length = construction_params(p, k).L
     return Fraction((p + 1) ** 2, 4 * length) * Fraction(k * k, k + 1) - Fraction(k + 1, length)
 
 
@@ -359,24 +356,18 @@ class _SuccessCounter:
 
 
 def monte_carlo_throughput(
-    p: int,
-    k: int,
-    m_users: int,
-    trials: int,
-    seed: int,
-    generators: tuple[int, ...] | None = None,
+    p: int, k: int, m_users: int, trials: int, seed: int
 ) -> ThroughputReport:
     """Sample delay offsets i.i.d. uniform over Z_L and measure one-period
-    system throughput.  Defaults to generators 1..m_users."""
+    system throughput of generators 1..m_users (all p when m_users = p)."""
     params = construction_params(p, k)
     if m_users < 1:
         raise ValueError(f"need at least one user, got m_users={m_users}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
-    if generators is None:
-        if m_users > p:
-            raise ValueError("more users than available sequences")
-        generators = tuple(range(1, m_users + 1)) if m_users < p else tuple(range(p))
+    if m_users > p:
+        raise ValueError("more users than available sequences")
+    generators = tuple(range(1, m_users + 1)) if m_users < p else tuple(range(p))
     rng = np.random.default_rng(seed)
     offsets = rng.integers(0, params.L, size=(trials, len(generators)))
     succ = _SuccessCounter(params, generators)(offsets)

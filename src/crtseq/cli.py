@@ -21,13 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import baselines, channel, correlation, erasure, sync
-from .core import (
-    CrtParams,
-    SequenceRecord,
-    Variant,
-    format_sequence_entry,
-    generate_sequence,
-)
+from .core import CrtParams, Variant, format_sequence_entry, generate_sequence
 
 USAGE_ERROR, GUARANTEE_VIOLATION = 2, 1
 
@@ -58,16 +52,11 @@ def _cmd_generate(args) -> int:
         raise ValueError("provide --g or --all")
     params = _params(args)
     gens = list(range(params.p)) if args.all else [args.g]
-    lines, records = [], []
-    for g in gens:
-        seq = generate_sequence(g, params)
-        lines.append(str(seq))
-        records.append(SequenceRecord(params, g, seq))
-    print("\n".join(lines))
+    seqs = [generate_sequence(g, params) for g in gens]
+    print("\n".join(map(str, seqs)))
     if args.out:
         _write_atomic(
-            args.out,
-            "".join(format_sequence_entry(r.params, r.generator, r.sequence) for r in records),
+            args.out, "".join(format_sequence_entry(params, g, s) for g, s in zip(gens, seqs))
         )
     return 0
 
@@ -252,13 +241,13 @@ def _load_payloads(path: str) -> dict[int, np.ndarray]:
 
 
 def _cmd_session(args) -> int:
+    params = erasure.session_params(args.p, args.k)
     gens = tuple(int(x) for x in args.users.split(","))
     if args.offsets:
         offs = tuple(int(x) for x in args.offsets.split(","))
     else:
-        L = args.p * (args.k * args.p + 1)
         rng = np.random.default_rng(args.seed)
-        offs = tuple(int(x) for x in rng.integers(0, L, size=len(gens)))
+        offs = tuple(int(x) for x in rng.integers(0, params.L, size=len(gens)))
     payloads = None
     if args.payload:
         payloads = _load_payloads(args.payload)
@@ -297,14 +286,10 @@ def _cmd_compare(args) -> int:
     rows = ["family,period,epsilon,note"]
     params = channel.construction_params(p, k)
     rows.append(f"crt,{params.L},{_frac(correlation.crt_epsilon(params))},computed")
-    prime = baselines.prime_sequences(p)
-    rows.append(
-        f"prime,{prime.period},{_frac(correlation.epsilon_uniformity(list(prime.sequences)))},computed"
-    )
-    ext = baselines.extended_prime_sequences(p)
-    rows.append(
-        f"extended-prime,{ext.period},{_frac(correlation.epsilon_uniformity(list(ext.sequences)))},computed"
-    )
+    for build in (baselines.prime_sequences, baselines.extended_prime_sequences):
+        family = build(p)
+        eps = correlation.epsilon_uniformity(list(family.sequences))
+        rows.append(f"{family.kind},{family.period},{_frac(eps)},computed")
     rows.append(f"wobbling,{p ** 4},{_frac(Fraction(1, p))},not computed")
     rows.append("shift-invariant,exponential(p),0/1,not computed")
     _write_atomic(args.out, "\n".join(rows) + "\n")

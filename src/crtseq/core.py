@@ -84,15 +84,14 @@ class GridPoint(NamedTuple):
 class CrtParams:
     """Arithmetic context shared by every operation.
 
-    ``gamma`` is only meaningful for the modified variant; when omitted it
-    is filled in with the inverse of p mod q.  An explicit value must
-    satisfy gamma*p = 1 (mod q).
+    ``gamma`` is derived, not passed: the inverse of p mod q for the
+    modified variant, None for the standard one.
     """
 
     p: int
     q: int
     variant: Variant = Variant.STANDARD
-    gamma: int | None = None
+    gamma: int | None = field(init=False, compare=False)
     _col_scale: int = field(init=False, repr=False, compare=False)
     _units: tuple[int, int] = field(init=False, repr=False, compare=False)
 
@@ -103,17 +102,9 @@ class CrtParams:
             raise ValueError(f"q must be an integer >= 2, got {self.q}")
         if math.gcd(self.p, self.q) != 1:
             raise ValueError(f"p and q must be coprime, got p={self.p}, q={self.q}")
-        if self.variant is Variant.MODIFIED:
-            inv = pow(self.p, -1, self.q)
-            if self.gamma is None:
-                object.__setattr__(self, "gamma", inv)
-            elif (self.gamma * self.p) % self.q != 1:
-                raise ValueError(
-                    f"gamma={self.gamma} is not the inverse of p={self.p} mod q={self.q}"
-                )
-        elif self.gamma is not None:
-            raise ValueError("gamma is only defined for the modified variant")
-        scale = self.gamma % self.q if self.variant is Variant.MODIFIED else 1
+        modified = self.variant is Variant.MODIFIED
+        scale = pow(self.p, -1, self.q) if modified else 1
+        object.__setattr__(self, "gamma", scale if modified else None)
         object.__setattr__(self, "_col_scale", scale)
         # slots of the grid points (1, 0) and (0, 1); the inverse map is linear
         object.__setattr__(
@@ -196,6 +187,9 @@ def multi_rate_characteristic_set(g: int, k: int, params: CrtParams) -> frozense
     return frozenset(out)
 
 
+_BIT_CHARS = np.frombuffer(b"01", dtype=np.uint8)  # ASCII byte of each bit
+
+
 @dataclass(frozen=True, eq=False)
 class BinarySequence:
     """A period-L zero-one schedule.
@@ -236,7 +230,7 @@ class BinarySequence:
         return int(self.bits.shape[0])
 
     def __str__(self) -> str:
-        return "".join("01"[b] for b in self.bits)
+        return _BIT_CHARS[self.bits].tobytes().decode()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinarySequence):

@@ -30,6 +30,7 @@ from .core import CrtParams, Variant, generate_sequence, is_prime
 __all__ = [
     "GF",
     "PRIMITIVE_POLYS",
+    "session_params",
     "code_dimension",
     "CodeSpec",
     "ErasureCode",
@@ -89,10 +90,6 @@ class GF:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def lagrange_logs(self, pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Logarithms of the Lagrange weights W[r, i]: the value at xs[r] of
         the basis polynomial that is 1 at pts[i] and 0 at the other points.
@@ -120,22 +117,27 @@ class GF:
         return np.bitwise_xor.reduce(terms, axis=1)
 
 
-def code_dimension(p: int, k: int) -> int:
-    """Per-period information dimension (k*p + k - p + 3) / 2.
-
-    This is the guaranteed number of surviving packets per period when
-    (p+1)/2 users are active with q = k*p + 1: each of the other
-    (p+1)/2 - 1 users erases at most k + 1 of the q = k*p + 1 sent packets.
-    Requires an odd prime p and k >= p.
-    """
+def session_params(p: int, k: int) -> CrtParams:
+    """Parameters of the erasure-coded session family: the modified
+    variant with q = k*p + 1, period p*(k*p + 1).  Requires an odd prime p
+    and k >= p."""
     if not is_prime(p) or p < 3:
         raise ValueError("p must be an odd prime")
     if k < p:
         raise ValueError(f"rate parameter k={k} must be at least p={p}")
-    num = k * p + k - p + 3
-    if num % 2 != 0:
-        raise ValueError(f"dimension (kp+k-p+3)/2 is not an integer for p={p}, k={k}")
-    return num // 2
+    return CrtParams(p, k * p + 1, Variant.MODIFIED)
+
+
+def code_dimension(p: int, k: int) -> int:
+    """Per-period information dimension (k*p + k - p + 3) / 2.
+
+    This is the guaranteed number of surviving packets per period when
+    (p+1)/2 users are active in ``session_params(p, k)``: each of the other
+    (p+1)/2 - 1 users erases at most k + 1 of the q sent packets.  The
+    numerator (k - 1)(p + 1) + 4 is even because p is odd.
+    """
+    session_params(p, k)  # rejects (p, k) outside the family
+    return (k * p + k - p + 3) // 2
 
 
 def _field_order_for(n: int) -> int:
@@ -154,7 +156,6 @@ class CodeSpec:
     n: int
     dim: int
     field_order: int
-    mds: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= self.n <= self.field_order:
@@ -162,9 +163,10 @@ class CodeSpec:
 
     @classmethod
     def for_protocol(cls, p: int, k: int) -> "CodeSpec":
-        """One codeword symbol per transmission opportunity in a period:
-        n = k*p + 1 = q, field order the smallest supported power of two >= n."""
-        n = k * p + 1
+        """One codeword symbol per transmission opportunity in a period of
+        ``session_params(p, k)``: n = q, field order the smallest supported
+        power of two >= n."""
+        n = session_params(p, k).q
         return cls(n=n, dim=code_dimension(p, k), field_order=_field_order_for(n))
 
     @property
@@ -253,7 +255,7 @@ def session_roundtrip(
     payloads: dict[int, np.ndarray] | None = None,
     seed: int = 0,
 ) -> SessionReport:
-    """End-to-end recovery over one period with q = k*p + 1.
+    """End-to-end recovery over one period of ``session_params(p, k)``.
 
     Each active user encodes dim information symbols into q = n packets and
     sends packet j at its j-th transmission opportunity; collisions erase
@@ -261,8 +263,7 @@ def session_roundtrip(
     synchronization).  With at most (p+1)/2 active users every user decodes,
     and the information throughput is exactly users * dim / (p*q).
     """
-    q = k * p + 1
-    params = CrtParams(p, q, Variant.MODIFIED)
+    params = session_params(p, k)
     if len(generators) != len(offsets):
         raise ValueError("one offset per generator required")
     if len(set(generators)) != len(generators):

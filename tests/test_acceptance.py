@@ -185,7 +185,7 @@ def test_criterion_10_sync_guarantee_sweep():
 
 
 def test_criterion_11_documented_sync_failure():
-    params = CrtParams(7, 8, Variant.MODIFIED, gamma=7)
+    params = CrtParams(7, 8, Variant.MODIFIED)
     users = (
         UserSpec(1, 1, 0),
         UserSpec(2, 2, 0),

@@ -123,6 +123,12 @@ class TestActivitySignal:
         with pytest.raises(ValueError, match="'x' at position 2"):
             ActivitySignal.from_string("01x*")
 
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 100_000))
+    def test_long_string_round_trip(self, seed, length):
+        text = "".join(np.random.default_rng(seed).choice(list("01*"), size=length))
+        assert str(ActivitySignal.from_string(text)) == text
+
 
 class TestScenarioValidation:
     def test_duplicate_generators(self):
@@ -280,6 +286,15 @@ class TestBounds:
     def test_construction_params(self):
         params = construction_params(5, 2)
         assert (params.p, params.q, params.L) == (5, 9, 45)
+
+    @pytest.mark.parametrize("p, k", [(4, 2), (5, 0), (5, -1), (5, -3), (2, 2)])
+    def test_bounds_reject_parameters_outside_the_family(self, p, k):
+        with pytest.raises(ValueError):
+            peak_throughput_bound(p, k)
+        with pytest.raises(ValueError):
+            optimal_user_count(p, k)
+        with pytest.raises(ValueError):
+            throughput_lower_bound(p, k, 1)
 
 
 class TestThroughputExperiments:

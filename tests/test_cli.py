@@ -292,6 +292,15 @@ class TestSession:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "offset -1 outside 0..129" in err
 
+    def test_bad_k_is_usage_error_before_drawing_offsets(self, tmp_path, capsys):
+        out = tmp_path / "session.json"
+        assert main(["session", "--p", "5", "--k", "-1", "--users", "1,2",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "k=-1" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_payload_must_cover_users(self, tmp_path, capsys):
         payload_path = tmp_path / "payload.json"
         payload_path.write_text(json.dumps({"1": list(range(14))}))

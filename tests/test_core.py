@@ -33,7 +33,7 @@ GRID = [
     CrtParams(7, 8, Variant.MODIFIED),
     CrtParams(5, 51, Variant.MODIFIED),
     CrtParams(11, 13),
-    CrtParams(7, 8, Variant.MODIFIED, gamma=15),  # explicit gamma, not reduced mod q
+    CrtParams(7, 4, Variant.MODIFIED),  # q < p
 ]
 
 
@@ -61,14 +61,10 @@ class TestParams:
     def test_gamma_autofilled(self):
         assert M78.gamma == 7  # 7*7 = 49 = 1 mod 8
 
-    def test_gamma_validated(self):
-        with pytest.raises(ValueError, match="gamma"):
-            CrtParams(7, 8, Variant.MODIFIED, gamma=3)
-        assert CrtParams(7, 8, Variant.MODIFIED, gamma=7).gamma == 7
-
-    def test_gamma_rejected_for_standard(self):
-        with pytest.raises(ValueError):
-            CrtParams(3, 5, Variant.STANDARD, gamma=2)
+    def test_gamma_is_derived(self):
+        assert P35.gamma is None
+        with pytest.raises(TypeError):
+            CrtParams(7, 8, Variant.MODIFIED, gamma=7)
 
     def test_length(self):
         assert P35.L == 15 and M78.L == 56
@@ -155,10 +151,7 @@ def params_and_generator(draw):
     p = draw(st.sampled_from([3, 5, 7, 11, 13, 37]))
     q = draw(st.integers(2, 3 * p + 4).filter(lambda q: q % p))
     variant = draw(st.sampled_from(list(Variant)))
-    gamma = None
-    if variant is Variant.MODIFIED:
-        gamma = pow(p, -1, q) + q * draw(st.integers(-2, 2))
-    return CrtParams(p, q, variant, gamma), draw(st.integers(0, p - 1))
+    return CrtParams(p, q, variant), draw(st.integers(0, p - 1))
 
 
 class TestSequences:

@@ -14,8 +14,10 @@ from crtseq.erasure import (
     ErasureCode,
     GF,
     code_dimension,
+    session_params,
     session_roundtrip,
 )
+from crtseq.core import CrtParams, Variant
 
 
 class TestDimension:
@@ -35,6 +37,17 @@ class TestDimension:
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
             code_dimension(9, 9)
+
+
+class TestSessionParams:
+    def test_family_member(self):
+        assert session_params(5, 5) == CrtParams(5, 26, Variant.MODIFIED)
+        assert session_params(19, 19).L == 19 * 362
+
+    @pytest.mark.parametrize("p, k", [(5, 4), (5, -1), (9, 9), (2, 2)])
+    def test_rejects_parameters_outside_the_family(self, p, k):
+        with pytest.raises(ValueError):
+            session_params(p, k)
 
 
 class TestField:
