@@ -28,6 +28,7 @@ __all__ = [
     "SUCCESS",
     "COLLISION",
     "ActivitySignal",
+    "check_codes",
     "UserSpec",
     "Scenario",
     "ChannelTrace",
@@ -46,27 +47,47 @@ __all__ = [
 ]
 
 IDLE, SUCCESS, COLLISION = 0, 1, 2
-_CODES = {"0": IDLE, "1": SUCCESS, "*": COLLISION}
 _SYMBOL_BYTES = np.frombuffer(b"01*", dtype=np.uint8)  # ASCII byte of each code
+_CODE_OF_BYTE = np.full(256, -1, dtype=np.int8)  # inverse table; -1 marks a bad byte
+_CODE_OF_BYTE[_SYMBOL_BYTES] = (IDLE, SUCCESS, COLLISION)
+
+
+def check_codes(codes: np.ndarray) -> None:
+    """Raise ValueError unless ``codes`` is empty or a bool or integer array
+    whose entries are all activity codes (0, 1 or 2)."""
+    if codes.size == 0:
+        return
+    if codes.dtype.kind not in "biu":
+        valid = False
+    elif codes.ndim == 0:  # one symbol: a Python comparison is cheapest
+        valid = 0 <= codes.item() <= 2
+    else:
+        valid = 0 <= codes.min() and codes.max() <= 2
+    if not valid:
+        raise ValueError("activity codes must be 0, 1 or 2")
 
 
 class ActivitySignal:
     """Per-slot channel reduction: 0 idle, 1 lone sender, * collision."""
 
     def __init__(self, codes: np.ndarray):
-        codes = np.asarray(codes, dtype=np.int8)
-        if codes.ndim != 1 or codes.size and (codes.min() < 0 or codes.max() > 2):
-            raise ValueError("activity codes must be 0, 1 or 2")
-        self.codes = codes
+        codes = np.asarray(codes)
+        if codes.ndim != 1:
+            raise ValueError(f"activity codes must be a 1-D array, got shape {codes.shape}")
+        check_codes(codes)  # before the cast, which would wrap 256 to 0 and cut 1.5 to 1
+        self.codes = codes.astype(np.int8, copy=False)
         self.codes.flags.writeable = False
 
     @classmethod
     def from_string(cls, text: str) -> "ActivitySignal":
         text = text.strip()
-        at = next((i for i, ch in enumerate(text) if ch not in _CODES), None)
-        if at is not None:
+        # a non-ASCII character encodes to bytes >= 0x80, one that cannot be
+        # encoded to "?"; both are bad bytes
+        codes = _CODE_OF_BYTE[np.frombuffer(text.encode(errors="replace"), dtype=np.uint8)]
+        if codes.size and codes.min() < 0:
+            at = next(i for i, ch in enumerate(text) if ch not in "01*")
             raise ValueError(f"activity character {text[at]!r} at position {at} is not 0, 1 or *")
-        return cls(np.array([_CODES[ch] for ch in text], dtype=np.int8))
+        return cls(codes)
 
     def __len__(self) -> int:
         return int(self.codes.size)

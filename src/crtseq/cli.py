@@ -10,6 +10,7 @@ strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -309,7 +310,10 @@ def _parse_range(text: str) -> list[int]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: argparse keeps no state between
+    ``parse_args`` calls, and each call returns a fresh Namespace."""
     ap = argparse.ArgumentParser(prog="crtseq", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -371,8 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import IDLE, ActivitySignal
+from .channel import IDLE, ActivitySignal, check_codes
 from .core import (
     BinarySequence,
     CrtParams,
@@ -102,9 +103,14 @@ class ActivityDetector:
         # every CRT sequence has weight q, so the supports stack into (p-1, q)
         self._offsets = np.stack([generate_sequence(g, params).support() for g in self.user_ids])
         self._L = params.L
-        self._busy = np.zeros(0, dtype=bool)
+        # busy flags of slots time-(hi-lo) .. time-1 live in _buf[lo:hi].  A
+        # chunk is written in place behind them; only when it does not fit
+        # do they move to the front of a buffer of max(2L, live + chunk)
+        # flags, the old one if it has that size
+        self._buf = np.zeros(2 * self._L, dtype=bool)
+        self._lo = self._hi = 0
         self._now = 0
-        self._next = dict.fromkeys(self.user_ids, 0)
+        self._next = [0] * len(self.user_ids)
         self.active: dict[int, bool] = dict.fromkeys(self.user_ids, False)
         self.start: dict[int, int | None] = dict.fromkeys(self.user_ids, None)
 
@@ -115,7 +121,9 @@ class ActivityDetector:
 
     def _matched(self, busy: np.ndarray, n: int) -> np.ndarray:
         """matched[k, j]: generator user_ids[k] matches the window that
-        starts at busy[j], for the first n starts."""
+        starts at busy[j], for the first n starts (shape (p-1,) when n = 1)."""
+        if n == 1:
+            return busy[self._offsets].all(axis=1)
         if n <= _GATHER_MAX_STARTS:
             return busy[self._offsets[:, None, :] + np.arange(n)[:, None]].all(axis=2)
         matched = np.ones((len(self.user_ids), n), dtype=bool)
@@ -123,6 +131,21 @@ class ActivityDetector:
             for d in offsets:
                 row &= busy[d : d + n]
         return matched
+
+    def _append(self, codes: np.ndarray) -> None:
+        """Store the busy flags of a validated chunk behind the live ones."""
+        m, live = codes.size, self._hi - self._lo
+        if self._hi + m > self._buf.size:
+            size = max(2 * self._L, live + m)
+            buf = self._buf if size == self._buf.size else np.empty(size, dtype=bool)
+            buf[:live] = self._buf[self._lo : self._hi]
+            self._buf, self._lo, self._hi = buf, 0, live
+        if codes.ndim == 0:
+            self._buf[self._hi] = codes.item() != IDLE
+        else:
+            np.not_equal(codes, IDLE, out=self._buf[self._hi : self._hi + m])
+        self._hi += m
+        self._now += m
 
     def push(self, symbols) -> list[Activated | Deactivated]:
         """Consume symbols; return the events they decide, ordered by
@@ -132,43 +155,57 @@ class ActivityDetector:
         active user is re-examined at each whole period after its start and
         deactivated at the first one that fails to match.
         """
-        codes = np.atleast_1d(_codes(symbols))
-        if codes.ndim != 1:
-            raise ValueError(f"push takes a symbol or a 1-D array, got shape {codes.shape}")
-        busy = np.concatenate((self._busy, codes != IDLE))
-        self._now += codes.size
-        n = busy.size - self._L + 1
+        if isinstance(symbols, ActivitySignal):
+            codes = symbols.codes  # validated on construction
+        else:
+            codes = np.asarray(symbols)
+            if codes.ndim > 1:
+                raise ValueError(f"push takes a symbol or a 1-D array, got shape {codes.shape}")
+            check_codes(codes)
+        self._append(codes)
+        L, lo = self._L, self._lo
+        n = self._hi - lo - L + 1
         if n <= 0:
-            self._busy = busy
             return []
-        matched = self._matched(busy, n)
-        self._busy = busy[n:].copy()  # drop the chunk's buffer
-        base = self._now - busy.size  # slot of busy[0]: the oldest undecided start
+        matched = self._matched(self._buf[lo : self._hi], n)
+        self._lo = lo + n
+        base = self._now - (self._hi - lo)  # slot of the oldest undecided start
         end = base + n
 
-        L = self._L
+        # The matches, flattened to x = k*n + j (user k, start j), form runs.
+        # Each change x (flags[x] != flags[x-1]) is listed as x - 1, so one
+        # bisect counts the changes at or before a start: the start matches
+        # when that count plus flags[0] is odd, and otherwise its user's next
+        # match, if any, is at the next change.  A busy channel matches at
+        # long runs of starts, which this list keeps to two entries each.
+        flags = matched.ravel()
+        lead = flags.item(0)
+        changes = (flags[1:] != flags[:-1]).nonzero()[0].tolist()
         events: list[tuple[int, int, Activated | Deactivated]] = []
         for k, u in enumerate(self.user_ids):
-            t0 = self._next[u]
+            t0 = self._next[k]
+            row = k * n - base  # row + t0 is the flat position of start t0
+            active = self.active[u]
             while t0 < end:
-                if self.active[u]:
-                    if matched[k, t0 - base]:
+                at = bisect_left(changes, row + t0)
+                if active:
+                    if (at + lead) % 2:
                         t0 += L
                         continue
                     events.append((t0, u, Deactivated(u, t0)))
-                    self.active[u], self.start[u] = False, None
+                    active, self.start[u] = False, None
                     t0 += 1
                 else:
-                    i = t0 - base  # argmax finds the first match at or after i, if any
-                    hit = i + int(matched[k, i:].argmax())
-                    if not matched[k, hit]:
-                        t0 = end
-                        break
-                    t0 = base + hit
+                    if not (at + lead) % 2:
+                        if at == len(changes) or changes[at] + 1 >= row + end:
+                            t0 = end
+                            break
+                        t0 = changes[at] + 1 - row
                     events.append((t0, u, Activated(u, t0)))
-                    self.active[u], self.start[u] = True, t0
+                    active, self.start[u] = True, t0
                     t0 += L
-            self._next[u] = t0
+            self.active[u] = active
+            self._next[k] = t0
         events.sort(key=lambda item: item[:2])
         return [ev for _, _, ev in events]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -120,8 +121,22 @@ class TestActivitySignal:
     def test_rejects_bad_codes(self):
         with pytest.raises(ValueError):
             ActivitySignal(np.array([0, 3]))
+        # checked before the cast to int8, which would wrap or truncate
+        for codes in (np.array([256, 1]), np.array([0.5, 1.7]), [1.9]):
+            with pytest.raises(ValueError, match="activity codes must be 0, 1 or 2"):
+                ActivitySignal(codes)
+        with pytest.raises(ValueError, match="1-D"):
+            ActivitySignal(np.ones((2, 3), dtype=np.int8))
+        assert ActivitySignal(np.array([True, False])) == ActivitySignal([1, 0])
         with pytest.raises(ValueError, match="'x' at position 2"):
             ActivitySignal.from_string("01x*")
+        # positions count characters of the stripped text, not encoded bytes
+        with pytest.raises(ValueError, match="'é' at position 3"):
+            ActivitySignal.from_string("\n 01*é1 ")
+        with pytest.raises(ValueError, match="'★' at position 1"):
+            ActivitySignal.from_string("0★x")
+        with pytest.raises(ValueError, match=re.escape("'\\udc80' at position 2")):
+            ActivitySignal.from_string("01\udc80")  # a lone surrogate has no encoding
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 100_000))

@@ -393,6 +393,74 @@ def test_malformed_payload_is_usage_error(tmp_path, capsys, payload, named):
     assert "Traceback" not in err
 
 
+class TestOneParserPerProcess:
+    """main() builds its parser once per process; a call must behave as in
+    a fresh process whatever the calls before it parsed.  The fresh
+    process is stood in for by the same call with a newly built parser."""
+
+    @staticmethod
+    def after_and_fresh(argv, capsys, out=None):
+        """(exit code, stdout, stderr, bytes of ``out``) of main(argv) on
+        the cached parser, then the same with a newly built parser."""
+        runs = []
+        for rebuild in (False, True):
+            if rebuild:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err, out and out.read_bytes()))
+        return runs
+
+    def test_parser_is_built_once(self, capsys):
+        assert main(["generate", "--p", "3", "--q", "5", "--g", "1"]) == 0
+        built = cli._build_parser.cache_info().misses
+        assert main(["generate", "--p", "3", "--q", "5", "--g", "2"]) == 0
+        assert cli._build_parser.cache_info().misses == built
+
+    def test_flag_does_not_persist(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "p": 5, "q": 51, "variant": "mod", "duration": 765,
+            "users": [{"id": 1, "g": 1, "offset": None, "sessions": [[40, 765]]}],
+        }))
+        argv = ["sync", "--scenario", str(scenario), "--emit", str(tmp_path / "events.csv")]
+        # a detector that reports nothing misses user 1 inside the guarantee
+        with mock.patch.object(cli.sync, "run_detector", return_value=[]):
+            assert main(argv + ["--assert-guarantee"]) == 1
+            assert "guarantee violated" in capsys.readouterr().err
+            after, fresh = self.after_and_fresh(argv, capsys)
+        assert after == fresh and after[0] == 0
+
+    def test_omitted_offsets_are_drawn_again(self, tmp_path, capsys):
+        base = ["session", "--p", "5", "--k", "5", "--users", "1,2,3", "--seed", "4"]
+        assert main(base + ["--offsets", "3,40,77"]) == 0
+        assert json.loads(capsys.readouterr().out)["offsets"] == [3, 40, 77]
+        after, fresh = self.after_and_fresh(base, capsys)
+        assert after == fresh and after[0] == 0
+        assert json.loads(after[1])["offsets"] != [3, 40, 77]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["sweep", "--p", "5", "--k-range", "2:3", "--m", "0", "--out", "BAD_OUT"],
+         ["sweep", "--p", "5", "--k-range", "2:3"],
+         ["--help"]],
+        ids=["value-error", "missing-argument", "help"],
+    )
+    def test_call_after_an_exit(self, tmp_path, capsys, bad):
+        bad = [str(tmp_path / "bad.csv") if a == "BAD_OUT" else a for a in bad]
+        try:
+            code = main(bad)
+        except SystemExit as exc:  # argparse exits on --help and on bad argv
+            code = exc.code
+        assert code == (0 if bad == ["--help"] else 2)
+        capsys.readouterr()
+        out = tmp_path / "curve.csv"
+        argv = ["sweep", "--p", "5", "--k-range", "2:3", "--m", "2",
+                "--trials", "100", "--seed", "1", "--out", str(out)]
+        after, fresh = self.after_and_fresh(argv, capsys, out=out)
+        assert after == fresh and after[0] == 0
+
+
 class TestCompare:
     def test_table_rows(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

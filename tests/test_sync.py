@@ -190,6 +190,63 @@ class TestDetector:
         assert chunked == expected
         assert run_detector(ActivitySignal(codes), params) == expected
 
+    @given(st.sampled_from([M78, CrtParams(5, 12, Variant.MODIFIED)]),
+           st.sampled_from([0, 1 / 64, 1 / 16]),
+           st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(1, 120), st.integers(1, 120)), min_size=4, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_single_pushes_between_long_chunks(self, params, idle_rate, seed, runs):
+        # runs of one-symbol pushes alternate with chunks longer than 2L,
+        # so the busy-flag buffer both compacts in place and grows; a
+        # channel that is never idle matches every user at every start
+        L = params.L
+        lengths = [n for singles, extra in runs for n in (singles, 2 * L + extra)]
+        rng = np.random.default_rng(seed)
+        codes = np.where(rng.random(sum(lengths)) < idle_rate, IDLE,
+                         rng.integers(1, 3, sum(lengths))).astype(np.int8)
+        assert codes.size >= 5 * L
+        det = ActivityDetector(params)
+        events, t = [], 0
+        for i, n in enumerate(lengths):
+            if i % 2 == 0:
+                events += push_each(det, ActivitySignal(codes[t : t + n]))
+            else:
+                events += det.push(codes[t : t + n])
+            t += n
+        assert det.time == codes.size
+        expected = reference_events(codes, params)
+        assert events == expected == run_detector(codes, params)
+
+    @pytest.mark.parametrize("one", [int, np.int8, np.int64, np.uint8, np.array],
+                             ids=["int", "int8", "int64", "uint8", "0-d-array"])
+    def test_one_symbol_forms_agree(self, one):
+        L = M551.L
+        users = (UserSpec(2, 2, None, ((10, 10 + L),)), UserSpec(4, 4, 100))
+        sig = channel_activity(simulate(Scenario(M551, users, 10 + 3 * L)))
+        det = ActivityDetector(M551)
+        events = [ev for c in sig.codes.tolist() for ev in det.push(one(c))]
+        assert events == run_detector(sig, M551)
+        assert Deactivated(2, 10 + L) in events
+
+    @pytest.mark.parametrize(
+        "symbols",
+        [7, -1, 3, np.int8(3), np.array(-1), np.full(15, 7), np.array([0, 1, 3]),
+         np.array([9.5, 3.2]), np.array([0.0, 1.0]), 1.0, "1"],
+        ids=["7", "-1", "3", "int8-3", "0d-minus-1", "array-of-7", "array-with-3",
+             "float-array", "integral-float-array", "float", "str"],
+    )
+    def test_push_rejects_symbols_outside_alphabet(self, symbols):
+        det = ActivityDetector(CrtParams(3, 5, Variant.MODIFIED))
+        with pytest.raises(ValueError, match="activity codes must be 0, 1 or 2"):
+            det.push(symbols)
+        assert det.time == 0
+        assert det.push(np.ones(15, dtype=np.int8)) == [Activated(1, 0), Activated(2, 0)]
+
+    def test_empty_chunk_of_any_dtype_is_a_no_op(self):
+        det = ActivityDetector(M78)
+        assert det.push([]) == det.push(np.array([], dtype=float)) == []
+        assert det.time == 0
+
     def test_push_rejects_multidimensional_input(self):
         with pytest.raises(ValueError):
             ActivityDetector(M78).push(np.ones((2, M78.L), dtype=np.int8))
