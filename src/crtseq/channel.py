@@ -5,7 +5,8 @@ transmitters collide and everything in the slot is lost; senders never
 learn what happened.  Users follow their zero-one schedule: a user with
 delay offset tau transmits at slot t when its sequence has a one at
 (t - tau) mod L, so the schedule starts at slot tau.  Session users run
-the schedule afresh from each session's start slot.
+the schedule afresh from each session's start slot; both are [start, end)
+phase spans (``Scenario.spans``), and a run is its sorted transmissions.
 
 Also hosts the worst-case throughput calculators for the q = k*p - 1
 sequence family and the offset-sampling throughput experiment.
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CrtParams, Variant, crt_map, generate_sequence
+from .core import BinarySequence, CrtParams, Variant, crt_map, generate_sequence
 from .correlation import correlation_spectrum
 
 __all__ = [
@@ -75,7 +76,7 @@ class ActivitySignal:
         if codes.ndim != 1:
             raise ValueError(f"activity codes must be a 1-D array, got shape {codes.shape}")
         check_codes(codes)  # before the cast, which would wrap 256 to 0 and cut 1.5 to 1
-        self.codes = codes.astype(np.int8, copy=False)
+        self.codes = codes.astype(np.int8)  # a copy, so freezing it leaves the caller's array be
         self.codes.flags.writeable = False
 
     @classmethod
@@ -168,30 +169,38 @@ class Scenario:
         """Offsets per user id, sampling unspecified permanent offsets from
         the scenario seed (in user order, so the draw is reproducible)."""
         rng = np.random.default_rng(self.seed)
-        out: dict[int, int] = {}
-        for u in self.users:
-            if u.sessions is not None:
-                continue
-            if u.offset is None:
-                out[u.user_id] = int(rng.integers(0, self.params.L))
-            else:
-                out[u.user_id] = u.offset
-        return out
+        return {
+            u.user_id: int(rng.integers(0, self.params.L)) if u.offset is None else u.offset
+            for u in self.users
+            if u.sessions is None
+        }
+
+    def spans(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Each user's [start, end) phase spans, by user id: the schedule
+        runs afresh from every span's start.  A session user's spans are its
+        sessions; a permanent user with offset tau is the one span
+        [tau - L, duration), whose first period covers slots [0, tau)."""
+        offsets = self.resolved_offsets()
+        return {
+            u.user_id: ((offsets[u.user_id] - self.params.L, self.duration),)
+            if u.sessions is None
+            else u.sessions
+            for u in self.users
+        }
 
 
 @dataclass
 class ChannelTrace:
     """Outcome of a simulation run.
 
-    ``n_senders[t]`` counts slot t's transmitters; ``sole_sender[t]`` is the lone one (else -1).
-    ``collision_slot``/``collision_sender``: collisions' (slot, user) pairs, by slot, then user.
+    ``n_senders[t]`` counts slot t's transmitters; ``transmission_slot``/``transmission_sender``
+    hold every transmission's (slot, user) pair, sorted by slot, then user.
     """
 
     duration: int
     n_senders: np.ndarray
-    sole_sender: np.ndarray
-    collision_slot: np.ndarray
-    collision_sender: np.ndarray
+    transmission_slot: np.ndarray
+    transmission_sender: np.ndarray
     sent: dict[int, int]
     succeeded: dict[int, int]
 
@@ -204,62 +213,47 @@ class ChannelTrace:
         return Fraction(self.total_successes, self.duration)
 
 
-def _transmission_slots(user: UserSpec, scenario: Scenario, offsets: dict[int, int]) -> np.ndarray:
-    """Slots in [0, duration) where the user transmits, in packet order."""
-    L = scenario.params.L
-    support = generate_sequence(user.generator, scenario.params).support()
-    slots: list[np.ndarray] = []
-    if user.sessions is None:
-        tau = offsets[user.user_id]
-        start = tau - L  # cover slots in [0, tau) from the previous period
-        for base in range(start, scenario.duration, L):
-            s = base + support
-            slots.append(s[(s >= 0) & (s < scenario.duration)])
-    else:
-        for a, b in user.sessions:
-            end = min(b, scenario.duration)
-            for base in range(a, end, L):
-                s = base + support
-                slots.append(s[s < end])
-    return np.concatenate(slots) if slots else np.empty(0, dtype=np.int64)
+def _transmission_slots(
+    seq: BinarySequence, spans: tuple[tuple[int, int], ...], duration: int
+) -> np.ndarray:
+    """Slots in [0, duration) where a user with this sequence transmits, in
+    packet order: each span [a, b) runs the schedule from slot a, cut at b."""
+    support, slots = seq.support(), [np.empty(0, dtype=np.int64)]
+    for a, b in spans:
+        end = min(b, duration)
+        s = (np.arange(a, end, len(seq))[:, None] + support).ravel()
+        slots.append(s[(s >= 0) & (s < end)])
+    return np.concatenate(slots)
 
 
 def simulate(scenario: Scenario) -> ChannelTrace:
     """Run the collision rule over the scenario; deterministic given the
     scenario (the seed only feeds unspecified offsets)."""
-    offsets = scenario.resolved_offsets()
-    per_user = {u.user_id: _transmission_slots(u, scenario, offsets) for u in scenario.users}
-
-    counts = np.zeros(scenario.duration, dtype=np.int32)
-    for slots in per_user.values():
-        counts[slots] += 1
-
-    sole_sender = np.full(scenario.duration, -1, dtype=np.int64)
-    lost = [(np.empty(0, dtype=np.int64),) * 2]  # so that no users still concatenates
-    sent = {uid: int(slots.size) for uid, slots in per_user.items()}
-    succeeded: dict[int, int] = {}
-    for u in scenario.users:
-        slots = per_user[u.user_id]
-        ok = counts[slots] == 1
-        sole_sender[slots[ok]] = u.user_id
-        lost.append((slots[~ok], np.full(slots.size - ok.sum(), u.user_id, dtype=np.int64)))
-        succeeded[u.user_id] = int(ok.sum())
-
-    collision_slot, collision_sender = map(np.concatenate, zip(*lost))
-    order = np.lexsort((collision_sender, collision_slot))
+    duration, spans = scenario.duration, scenario.spans()
+    users = sorted((u.user_id, u.generator) for u in scenario.users)
+    m = max(len(users), 1)
+    # each transmission is the key slot*m + rank of its sender's id, so one sort orders them
+    key = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        _transmission_slots(generate_sequence(g, scenario.params), spans[uid], duration) * m + rank
+        for rank, (uid, g) in enumerate(users)
+    ])
+    key.sort()
+    rank = key % m
+    slot = np.floor_divide(key, m, out=key)
+    counts = np.bincount(slot, minlength=duration)
+    ids = [uid for uid, _ in users]
     return ChannelTrace(
-        duration=scenario.duration,
+        duration=duration,
         n_senders=counts,
-        sole_sender=sole_sender,
-        collision_slot=collision_slot[order],
-        collision_sender=collision_sender[order],
-        sent=sent,
-        succeeded=succeeded,
+        transmission_slot=slot,
+        transmission_sender=np.array(ids, dtype=np.int64)[rank],
+        sent=dict(zip(ids, np.bincount(rank, minlength=m).tolist())),
+        succeeded=dict(zip(ids, np.bincount(rank[counts[slot] == 1], minlength=m).tolist())),
     )
 
 
 def channel_activity(trace: ChannelTrace) -> ActivitySignal:
-    return ActivitySignal(np.clip(trace.n_senders, 0, 2).astype(np.int8))
+    return ActivitySignal(np.minimum(trace.n_senders, 2, dtype=np.int8))
 
 
 # --- worst-case bounds for the q = k*p - 1 family ---

@@ -100,20 +100,19 @@ _CSV_BLOCK_SLOTS = 1 << 16
 
 
 def _trace_csv_blocks(trace: channel.ChannelTrace) -> Iterator[str]:
-    """trace.csv text in blocks of slots, built from plain lists.  A collision
+    """trace.csv text in blocks of slots, built from plain lists.  A busy
     row takes its n_senders[t] senders, ascending, in turn from the block's
-    slice of the sorted collision pairs."""
+    slice of the sorted transmissions."""
     yield "slot,outcome,sender\n"
     for lo in range(0, trace.duration, _CSV_BLOCK_SLOTS):
-        block = slice(lo, lo + _CSV_BLOCK_SLOTS)
-        first, last = np.searchsorted(trace.collision_slot, [lo, lo + _CSV_BLOCK_SLOTS])
-        colliders = iter(trace.collision_sender[first:last].tolist())
-        senders = zip(trace.n_senders[block].tolist(), trace.sole_sender[block].tolist())
+        hi = lo + _CSV_BLOCK_SLOTS
+        first, last = np.searchsorted(trace.transmission_slot, [lo, hi])
+        senders = iter(trace.transmission_sender[first:last].tolist())
         yield "".join(
             f"{t},idle,\n" if n == 0
-            else f"{t},success,{sender}\n" if n == 1
-            else f"{t},collision,{'+'.join(str(next(colliders)) for _ in range(n))}\n"
-            for t, (n, sender) in enumerate(senders, start=lo)
+            else f"{t},success,{next(senders)}\n" if n == 1
+            else f"{t},collision,{'+'.join(str(next(senders)) for _ in range(n))}\n"
+            for t, n in enumerate(trace.n_senders[lo:hi].tolist(), start=lo)
         )
 
 
@@ -145,11 +144,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _peak_active(sc: channel.Scenario) -> int:
-    """Most users active at once: permanent users span the whole horizon,
-    session users their [start, end) intervals clipped to it."""
+    """Most users active at once over the users' phase spans, clipped to
+    the simulated horizon."""
     edges = []
-    for u in sc.users:
-        spans = [(0, sc.duration)] if u.sessions is None else u.sessions
+    for spans in sc.spans().values():
         for a, b in spans:
             if a < sc.duration:
                 edges += [(a, 1), (min(b, sc.duration), -1)]
@@ -161,14 +159,14 @@ def _peak_active(sc: channel.Scenario) -> int:
 
 
 def _expected_activations(sc: channel.Scenario) -> dict[int, set[int]]:
-    """Per user: start slots at which a correct detector must activate it
-    (only starts whose full window fits in the simulated horizon)."""
-    offsets = sc.resolved_offsets()
-    expected: dict[int, set[int]] = {}
-    for u in sc.users:
-        starts = [offsets[u.user_id]] if u.sessions is None else [a for a, _ in u.sessions]
-        expected[u.user_id] = {s for s in starts if s + sc.params.L <= sc.duration}
-    return expected
+    """Per user: start slots at which a correct detector must activate it,
+    each span's first period boundary at or after slot 0 (only starts
+    whose full window fits in the simulated horizon)."""
+    L = sc.params.L
+    return {
+        uid: {s for s in (max(a, a % L) for a, _ in spans) if s + L <= sc.duration}
+        for uid, spans in sc.spans().items()
+    }
 
 
 def _cmd_sync(args) -> int:
@@ -300,13 +298,16 @@ def _cmd_compare(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(x) for x in text.split(",")]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--k-range must be lo:hi or a list of integers, got {text!r}") from None
     if not values:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"--k-range {text!r} is an empty range")
     return values
 
 

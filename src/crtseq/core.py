@@ -328,6 +328,8 @@ def read_sequence_file(path) -> list[SequenceRecord]:
                 if header is not None:
                     raise ValueError(f"line {lineno}: header without sequence line")
                 p, q, variant, g = int(m[1]), int(m[2]), m[3], int(m[4])
+                if g >= p:
+                    raise ValueError(f"line {lineno}: generator g={g} outside 0..{p - 1}")
                 header = (CrtParams(p, q, Variant.parse(variant)), g)
             else:
                 if header is None:

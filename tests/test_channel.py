@@ -72,10 +72,9 @@ def assert_matches_definition(scenario):
     per_slot = oracle_senders(scenario)
     outcomes = [outcome(s) for s in per_slot]
     assert trace.n_senders.tolist() == [len(s) for s in per_slot]
-    assert trace.sole_sender.tolist() == [o[1] if o[0] == "success" else -1 for o in outcomes]
-    pairs = [(t, u) for t, o in enumerate(outcomes) if o[0] == "collision" for u in o[1]]
-    assert trace.collision_slot.dtype == trace.collision_sender.dtype == np.int64
-    assert list(zip(trace.collision_slot.tolist(), trace.collision_sender.tolist())) == pairs
+    pairs = [(t, u) for t, senders in enumerate(per_slot) for u in senders]
+    assert trace.transmission_slot.dtype == trace.transmission_sender.dtype == np.int64
+    assert list(zip(trace.transmission_slot.tolist(), trace.transmission_sender.tolist())) == pairs
     ids = [u.user_id for u in scenario.users]
     assert trace.sent == {u: sum(u in s for s in per_slot) for u in ids}
     assert trace.succeeded == {u: outcomes.count(("success", u)) for u in ids}
@@ -138,6 +137,13 @@ class TestActivitySignal:
         with pytest.raises(ValueError, match=re.escape("'\\udc80' at position 2")):
             ActivitySignal.from_string("01\udc80")  # a lone surrogate has no encoding
 
+    def test_leaves_callers_array_writable(self):
+        codes = np.array([0, 1, 2], dtype=np.int8)
+        sig = ActivitySignal(codes)
+        codes[0] = 1  # the signal holds its own frozen copy
+        assert str(sig) == "01*"
+        assert not sig.codes.flags.writeable
+
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 100_000))
     def test_long_string_round_trip(self, seed, length):
@@ -175,6 +181,13 @@ class TestScenarioValidation:
         assert sc.resolved_offsets() == sc.resolved_offsets()
         other = Scenario(sc.params, sc.users, sc.duration, seed=99)
         assert sc.resolved_offsets() != other.resolved_offsets()
+
+    def test_spans_of_both_user_kinds(self):
+        users = (UserSpec(4, 1, 6), UserSpec(2, 2, None, ((3, 20), (40, 60))), UserSpec(9, 0))
+        sc = Scenario(P35, users, 50, seed=5)
+        tau = sc.resolved_offsets()[9]
+        # a permanent user's span starts one period early, so [0, tau) is covered
+        assert sc.spans() == {4: ((-9, 50),), 2: ((3, 20), (40, 60)), 9: ((tau - 15, 50),)}
 
 
 class TestSimulate:

@@ -223,6 +223,52 @@ class TestSyncVerdict:
         assert _sync(tmp_path, users, duration=2000) == 0
         assert "guarantee: none (active users 4 > (p+1)/2 = 3)" in capsys.readouterr().out
 
+    def test_permanent_and_session_users_mixed(self, tmp_path, capsys):
+        # L = 265: user 3's first window [240, 505) ends past the horizon, so
+        # no activation is expected of it; all three are active at once
+        users = [
+            {"id": 1, "g": 1, "sessions": [[30, 500]]},
+            {"id": 2, "g": 2, "offset": 0},
+            {"id": 3, "g": 3, "offset": 240},
+        ]
+        sc = channel.scenario_from_json({"p": 5, "q": 53, "variant": "mod", "duration": 500,
+                                         "users": users})
+        assert cli._peak_active(sc) == 3
+        assert cli._expected_activations(sc) == {1: {30}, 2: {0}, 3: set()}
+        assert _sync(tmp_path, users, duration=500) == 0
+        assert capsys.readouterr().out.splitlines() == ["2 events, guarantee: general"]
+
+    @pytest.mark.xfail(strict=True, reason="known defect: the verdict expects a permanent "
+                       "user at its offset, but its previous period fills [0, offset) and "
+                       "the detector may match it earlier at a wrong phase")
+    def test_permanent_user_started_before_the_horizon(self, tmp_path, capsys):
+        users = [
+            {"id": 1, "g": 1, "sessions": [[30, 500]]},
+            {"id": 2, "g": 2, "offset": 7},
+            {"id": 3, "g": 3, "offset": 250},  # activated at slot 43
+        ]
+        assert _sync(tmp_path, users, duration=500) == 0
+
+    @given(scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_span_reading_matches_user_kinds(self, sc):
+        # oracle: permanent users are active over the whole horizon and start
+        # at their offset; session users over their sessions, from each start
+        offsets = sc.resolved_offsets()
+        edges, expected = [], {}
+        for u in sc.users:
+            spans = [(0, sc.duration)] if u.sessions is None else u.sessions
+            edges += [e for a, b in spans if a < sc.duration
+                      for e in ((a, 1), (min(b, sc.duration), -1))]
+            starts = [offsets[u.user_id]] if u.sessions is None else [a for a, _ in u.sessions]
+            expected[u.user_id] = {s for s in starts if s + sc.params.L <= sc.duration}
+        active = peak = 0
+        for _, step in sorted(edges):
+            active += step
+            peak = max(peak, active)
+        assert cli._peak_active(sc) == peak
+        assert cli._expected_activations(sc) == expected
+
 
 class TestSweep:
     def test_curve_csv(self, tmp_path, capsys):
@@ -251,6 +297,10 @@ class TestSweep:
             ({"--trials": "0"}, "trials=0"),
             ({"--trials": "-5"}, "trials=-5"),
             ({"--k-range": "3:2"}, "'3:2'"),
+            ({"--k-range": "2:3:4"}, "--k-range must be lo:hi or a list of integers, got '2:3:4'"),
+            ({"--k-range": "2:"}, "--k-range must be lo:hi or a list of integers, got '2:'"),
+            ({"--k-range": "a:b"}, "--k-range must be lo:hi or a list of integers, got 'a:b'"),
+            ({"--k-range": "2,,3"}, "--k-range must be lo:hi or a list of integers, got '2,,3'"),
         ],
     )
     def test_degenerate_input_is_usage_error(self, tmp_path, capsys, override, named):

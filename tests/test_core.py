@@ -336,3 +336,7 @@ class TestSequenceFile:
         path.write_text("# p=3 q=5 variant=std g=1\n1010\n")
         with pytest.raises(ValueError, match="15 bits"):
             read_sequence_file(path)
+        path.write_text("# p=3 q=5 variant=std g=1\n111110000000000\n"
+                        "# p=3 q=5 variant=std g=9\n111110000000000\n")
+        with pytest.raises(ValueError, match=r"line 3: generator g=9 outside 0\.\.2"):
+            read_sequence_file(path)
