@@ -100,20 +100,28 @@ _CSV_BLOCK_SLOTS = 1 << 16
 
 
 def _trace_csv_blocks(trace: channel.ChannelTrace) -> Iterator[str]:
-    """trace.csv text in blocks of slots, built from plain lists.  A busy
-    row takes its n_senders[t] senders, ascending, in turn from the block's
-    slice of the sorted transmissions."""
+    """trace.csv text in blocks of slots, each one ``format % values``.  The
+    format joins one row template per slot, chosen by its sender count; the
+    values are each row's slot followed by its senders, ascending, which are
+    the block's slice of the sorted transmissions."""
     yield "slot,outcome,sender\n"
+    most = int(trace.n_senders.max(initial=1))
+    template = np.array(
+        ["%d,idle,\n", "%d,success,%d\n"]
+        + [f"%d,collision,{'+'.join(['%d'] * n)}\n" for n in range(2, most + 1)],
+        dtype=object,
+    )
     for lo in range(0, trace.duration, _CSV_BLOCK_SLOTS):
-        hi = lo + _CSV_BLOCK_SLOTS
-        first, last = np.searchsorted(trace.transmission_slot, [lo, hi])
-        senders = iter(trace.transmission_sender[first:last].tolist())
-        yield "".join(
-            f"{t},idle,\n" if n == 0
-            else f"{t},success,{next(senders)}\n" if n == 1
-            else f"{t},collision,{'+'.join(str(next(senders)) for _ in range(n))}\n"
-            for t, n in enumerate(trace.n_senders[lo:hi].tolist(), start=lo)
-        )
+        n = trace.n_senders[lo : lo + _CSV_BLOCK_SLOTS]
+        first, last = np.searchsorted(trace.transmission_slot, [lo, lo + n.size])
+        # row r's slot sits behind the slots and senders of rows 0..r-1
+        at = np.arange(n.size) + np.cumsum(n) - n
+        is_sender = np.ones(n.size + last - first, dtype=bool)
+        is_sender[at] = False
+        values = np.empty(is_sender.size, dtype=np.int64)
+        values[at] = np.arange(lo, lo + n.size)
+        values[is_sender] = trace.transmission_sender[first:last]
+        yield "".join(template[n].tolist()) % tuple(values.tolist())
 
 
 def _cmd_simulate(args) -> int:
@@ -159,13 +167,19 @@ def _peak_active(sc: channel.Scenario) -> int:
 
 
 def _expected_activations(sc: channel.Scenario) -> dict[int, set[int]]:
-    """Per user: start slots at which a correct detector must activate it,
-    each span's first period boundary at or after slot 0 (only starts
-    whose full window fits in the simulated horizon)."""
+    """Per judged user: start slots at which a correct detector must
+    activate it, each span's first period boundary at or after slot 0
+    (only starts whose full window fits in the simulated horizon).
+
+    A user with a span that starts before slot 0 off a period boundary (a
+    permanent user with offset tau > 0) is not judged and left out: its
+    previous period fills [0, tau), so the receiver sees a cyclic shift of
+    its sequence, which the identification guarantee does not cover."""
     L = sc.params.L
     return {
-        uid: {s for s in (max(a, a % L) for a, _ in spans) if s + L <= sc.duration}
+        uid: {max(a, 0) for a, _ in spans if max(a, 0) + L <= sc.duration}
         for uid, spans in sc.spans().items()
+        if all(a >= 0 or a % L == 0 for a, _ in spans)
     }
 
 
@@ -196,6 +210,8 @@ def _cmd_sync(args) -> int:
             user = user_of.get(ev.user)
             if user is None:
                 errors.append(f"false alarm: generator {ev.user} activated at {ev.start}")
+            elif user not in expected:
+                continue
             elif ev.start not in expected[user]:
                 errors.append(f"start error: user {user} activated at {ev.start}")
             else:
@@ -207,6 +223,9 @@ def _cmd_sync(args) -> int:
     guarantee = sync.sync_guarantee(sc.params.p, sc.params.q, _peak_active(sc))
     print(f"{len(events)} events, guarantee: {guarantee.level.value}"
           + (f" ({guarantee.reason})" if guarantee.reason else ""))
+    for u in sc.users:
+        if u.user_id not in expected:
+            print(f"not judged: user {u.user_id} (started before slot 0)")
     for err in errors:
         print(err)
     if errors and guarantee.guaranteed and args.assert_guarantee:

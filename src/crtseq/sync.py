@@ -28,7 +28,6 @@ import numpy as np
 
 from .channel import IDLE, ActivitySignal, check_codes
 from .core import (
-    BinarySequence,
     CrtParams,
     GridPoint,
     Variant,
@@ -38,7 +37,6 @@ from .core import (
 )
 
 __all__ = [
-    "is_matched",
     "Activated",
     "Deactivated",
     "ActivityDetector",
@@ -51,20 +49,6 @@ __all__ = [
     "UncoveredOnes",
     "uncovered_ones",
 ]
-
-
-def _codes(signal) -> np.ndarray:
-    return signal.codes if isinstance(signal, ActivitySignal) else np.asarray(signal)
-
-
-def is_matched(signal, seq: BinarySequence, t0: int) -> bool:
-    """True iff every one of the sequence sees a non-idle symbol in the
-    window [t0, t0 + L)."""
-    codes = _codes(signal)
-    L = len(seq)
-    if t0 < 0 or t0 + L > codes.size:
-        raise ValueError(f"window [{t0}, {t0 + L}) not covered by the signal")
-    return bool(np.all(codes[t0 + seq.support()] != IDLE))
 
 
 @dataclass(frozen=True)
@@ -86,6 +70,14 @@ class Deactivated:
 # materializes a (p-1)*q*n index array.
 _GATHER_MAX_STARTS = 128
 
+# A one-start decision first reads this many of each due user's ones in
+# Python: on a mostly idle channel one of them is idle and settles the start
+# at once.  The first due user whose read ones are all busy, and every due
+# user after it, go to the kernel in one call.  The cap bounds the Python
+# work where idle slots lie late in most windows (a channel idle every q-th
+# slot), so the kernel decides anyway.
+_PREFILTER_ONES = 8
+
 
 class ActivityDetector:
     """Blind detector for generators 1..p-1, fed activity symbols in chunks.
@@ -102,12 +94,14 @@ class ActivityDetector:
         self.user_ids = list(range(1, params.p))
         # every CRT sequence has weight q, so the supports stack into (p-1, q)
         self._offsets = np.stack([generate_sequence(g, params).support() for g in self.user_ids])
+        self._heads = self._offsets[:, :_PREFILTER_ONES].tolist()
         self._L = params.L
         # busy flags of slots time-(hi-lo) .. time-1 live in _buf[lo:hi].  A
         # chunk is written in place behind them; only when it does not fit
         # do they move to the front of a buffer of max(2L, live + chunk)
         # flags, the old one if it has that size
         self._buf = np.zeros(2 * self._L, dtype=bool)
+        self._view = memoryview(self._buf)
         self._lo = self._hi = 0
         self._now = 0
         self._next = [0] * len(self.user_ids)
@@ -119,16 +113,18 @@ class ActivityDetector:
         """Number of symbols consumed so far."""
         return self._now
 
-    def _matched(self, busy: np.ndarray, n: int) -> np.ndarray:
-        """matched[k, j]: generator user_ids[k] matches the window that
-        starts at busy[j], for the first n starts (shape (p-1,) when n = 1)."""
-        if n == 1:
-            return busy[self._offsets].all(axis=1)
+    def _matched(self, busy: np.ndarray, n: int, first: int = 0) -> np.ndarray:
+        """matched[k, j]: generator user_ids[first + k] matches the window
+        that starts at busy[j], for the first n starts (shape (p-1-first,)
+        when n = 1)."""
+        offsets = self._offsets[first:]
+        if n == 1:  # the ufunc itself: ndarray.all adds a Python-level call
+            return np.logical_and.reduce(busy[offsets], axis=1)
         if n <= _GATHER_MAX_STARTS:
-            return busy[self._offsets[:, None, :] + np.arange(n)[:, None]].all(axis=2)
-        matched = np.ones((len(self.user_ids), n), dtype=bool)
-        for row, offsets in zip(matched, self._offsets):
-            for d in offsets:
+            return busy[offsets[:, None, :] + np.arange(n)[:, None]].all(axis=2)
+        matched = np.ones((len(offsets), n), dtype=bool)
+        for row, offs in zip(matched, offsets):
+            for d in offs:
                 row &= busy[d : d + n]
         return matched
 
@@ -139,13 +135,26 @@ class ActivityDetector:
             size = max(2 * self._L, live + m)
             buf = self._buf if size == self._buf.size else np.empty(size, dtype=bool)
             buf[:live] = self._buf[self._lo : self._hi]
-            self._buf, self._lo, self._hi = buf, 0, live
+            self._buf, self._view, self._lo, self._hi = buf, memoryview(buf), 0, live
         if codes.ndim == 0:
             self._buf[self._hi] = codes.item() != IDLE
         else:
             np.not_equal(codes, IDLE, out=self._buf[self._hi : self._hi + m])
         self._hi += m
         self._now += m
+
+    def _flip(self, k: int, t0: int, events: list) -> int:
+        """Deactivate an active user k, or activate an idle one, at start t0;
+        record the event as (t0, user, event) and return the user's next
+        start to examine."""
+        u = self.user_ids[k]
+        if self.active[u]:
+            self.active[u], self.start[u] = False, None
+            events.append((t0, u, Deactivated(u, t0)))
+            return t0 + 1
+        self.active[u], self.start[u] = True, t0
+        events.append((t0, u, Activated(u, t0)))
+        return t0 + self._L
 
     def push(self, symbols) -> list[Activated | Deactivated]:
         """Consume symbols; return the events they decide, ordered by
@@ -155,18 +164,54 @@ class ActivityDetector:
         active user is re-examined at each whole period after its start and
         deactivated at the first one that fails to match.
         """
-        if isinstance(symbols, ActivitySignal):
-            codes = symbols.codes  # validated on construction
+        if isinstance(symbols, int) and 0 <= symbols <= 2 and self._hi < self._buf.size:
+            self._view[self._hi] = symbols != IDLE
+            self._hi += 1
+            self._now += 1
         else:
-            codes = np.asarray(symbols)
-            if codes.ndim > 1:
-                raise ValueError(f"push takes a symbol or a 1-D array, got shape {codes.shape}")
-            check_codes(codes)
-        self._append(codes)
-        L, lo = self._L, self._lo
-        n = self._hi - lo - L + 1
+            if isinstance(symbols, ActivitySignal):
+                codes = symbols.codes  # validated on construction
+            else:
+                codes = np.asarray(symbols)
+                if codes.ndim > 1:
+                    raise ValueError(f"push takes a symbol or a 1-D array, got shape {codes.shape}")
+                check_codes(codes)
+            self._append(codes)
+        n = self._hi - self._lo - self._L + 1
         if n <= 0:
             return []
+        events = self._decide_one() if n == 1 else self._decide(n)
+        return [ev for _, _, ev in events]
+
+    def _decide_one(self) -> list:
+        """Decide the oldest undecided start for the users due there: every
+        idle user, and each active one at a whole period of its start."""
+        L, lo = self._L, self._lo
+        t = self._now - L
+        self._lo = lo + 1
+        nxt = self._next
+        due = [k for k, t0 in enumerate(nxt) if t0 == t]
+        view, heads, matched = self._view, self._heads, ()
+        for i, k in enumerate(due):
+            for d in heads[k]:
+                if not view[lo + d]:
+                    break
+            else:  # the kernel decides users k.. and the due ones are read
+                flags = self._matched(self._buf[lo : lo + L], 1, k).tolist()
+                matched = [j for j in due[i:] if flags[j - k]]
+                break
+        events: list = []
+        for k in due:
+            hit = k in matched
+            if hit == self.active[self.user_ids[k]]:
+                nxt[k] = t + L if hit else t + 1
+            else:
+                nxt[k] = self._flip(k, t, events)
+        return events
+
+    def _decide(self, n: int) -> list:
+        """Decide the n oldest undecided starts for every user."""
+        L, lo = self._L, self._lo
         matched = self._matched(self._buf[lo : self._hi], n)
         self._lo = lo + n
         base = self._now - (self._hi - lo)  # slot of the oldest undecided start
@@ -181,33 +226,25 @@ class ActivityDetector:
         flags = matched.ravel()
         lead = flags.item(0)
         changes = (flags[1:] != flags[:-1]).nonzero()[0].tolist()
-        events: list[tuple[int, int, Activated | Deactivated]] = []
+        events: list = []
         for k, u in enumerate(self.user_ids):
             t0 = self._next[k]
             row = k * n - base  # row + t0 is the flat position of start t0
-            active = self.active[u]
             while t0 < end:
                 at = bisect_left(changes, row + t0)
-                if active:
+                if self.active[u]:
                     if (at + lead) % 2:
                         t0 += L
                         continue
-                    events.append((t0, u, Deactivated(u, t0)))
-                    active, self.start[u] = False, None
-                    t0 += 1
-                else:
-                    if not (at + lead) % 2:
-                        if at == len(changes) or changes[at] + 1 >= row + end:
-                            t0 = end
-                            break
-                        t0 = changes[at] + 1 - row
-                    events.append((t0, u, Activated(u, t0)))
-                    active, self.start[u] = True, t0
-                    t0 += L
-            self.active[u] = active
+                elif not (at + lead) % 2:
+                    if at == len(changes) or changes[at] + 1 >= row + end:
+                        t0 = end
+                        break
+                    t0 = changes[at] + 1 - row
+                t0 = self._flip(k, t0, events)
             self._next[k] = t0
         events.sort(key=lambda item: item[:2])
-        return [ev for _, _, ev in events]
+        return events
 
 
 def run_detector(signal, params: CrtParams) -> list[Activated | Deactivated]:

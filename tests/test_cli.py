@@ -1,5 +1,8 @@
 import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from crtseq import channel, cli
 from crtseq.cli import main
-from crtseq.core import read_sequence_file
+from crtseq.core import CrtParams, read_sequence_file
 from test_channel import oracle_senders, outcome, scenarios
 
 FAILURE_SCENARIO = {
@@ -132,6 +135,24 @@ class TestSimulate:
             text = "".join(cli._trace_csv_blocks(channel.simulate(scenario)))
         assert text == oracle_trace_csv(scenario)
 
+    @pytest.mark.parametrize("block", [1, 7, 10, 1 << 16])
+    def test_trace_csv_blocks_at_digit_boundaries(self, block):
+        # every session starts with a one, so three users collide at slots 9,
+        # 99 and 999 and four at 10, 100 and 1000, where the slot gains a
+        # digit; the senders' ids have one to three digits
+        starts = {3: 9, 42: 9, 365: 9, 7: 10, 58: 10, 512: 10}
+        users = tuple(
+            channel.UserSpec(uid, g, None, ((a, a + 31), (a + 90, a + 121), (a + 990, a + 1021)))
+            for g, (uid, a) in enumerate(starts.items())
+        )
+        scenario = channel.Scenario(CrtParams(7, 3), users, duration=1010)
+        trace = channel.simulate(scenario)
+        assert all(trace.n_senders[t] >= 3 for t in (9, 10, 99, 100, 999, 1000))
+        with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
+            text = "".join(cli._trace_csv_blocks(trace))
+        assert "\n999,collision,3+42+365\n1000,collision,7+42+58+512\n" in text
+        assert text == oracle_trace_csv(scenario)
+
     def test_trace_csv_blocks_join_seamlessly(self, tmp_path, capsys, failure_scenario,
                                               monkeypatch):
         whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
@@ -152,8 +173,25 @@ class TestSync:
         lines = out.read_text().splitlines()
         assert lines[0] == "slot,event,user,start"
         assert "56,activated,6,0" in lines
+        # user 6 is misdated to slot 0, but as a permanent user with offset 1
+        # it began its schedule before slot 0 and is outside the verdict
         printed = capsys.readouterr().out
-        assert "start error: user 6" in printed
+        assert "not judged: user 6 (started before slot 0)" in printed
+        assert "start error" not in printed
+
+    def test_start_error_of_a_judged_user(self, tmp_path, capsys):
+        # the failure scenario with session users: user 6 starts at slot 1
+        # from idle, so its misdating to slot 0 is judged
+        scenario = copy.deepcopy(FAILURE_SCENARIO)
+        for u in scenario["users"]:
+            u["sessions"] = [[u.pop("offset"), 58]]
+        path = tmp_path / "sessions.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["sync", "--scenario", str(path), "--emit", str(tmp_path / "e.csv")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "start error: user 6 activated at 0" in printed
+        assert "missed detection: user 6 at start 1" in printed
+        assert not any(line.startswith("not judged") for line in printed)
 
     def test_assert_guarantee_passes_outside_guarantee(self, tmp_path, failure_scenario):
         out = tmp_path / "events.csv"
@@ -197,11 +235,13 @@ def _sync(tmp_path, users, duration=1200):
 
 class TestSyncVerdict:
     def test_ids_differing_from_generators(self, tmp_path, capsys):
-        users = [{"id": 10, "g": 1, "offset": 7}, {"id": 20, "g": 2, "offset": 100}]
+        # both users are judged: a permanent user at offset 0 and a session
+        # user, so each event's generator must map to the user's id
+        users = [{"id": 10, "g": 1, "offset": 0}, {"id": 20, "g": 2, "sessions": [[100, 1200]]}]
         assert _sync(tmp_path, users) == 0
         out = capsys.readouterr().out
-        assert "guarantee: general" in out
-        assert "false alarm" not in out and "missed detection" not in out
+        assert out.splitlines() == ["2 events, guarantee: general"]
+        assert "265,activated,1,0" in (tmp_path / "events.csv").read_text().splitlines()
 
     def test_generator_zero_is_usage_error(self, tmp_path, capsys):
         users = [{"id": 1, "g": 1, "offset": 7}, {"id": 2, "g": 0, "offset": 100}]
@@ -224,8 +264,8 @@ class TestSyncVerdict:
         assert "guarantee: none (active users 4 > (p+1)/2 = 3)" in capsys.readouterr().out
 
     def test_permanent_and_session_users_mixed(self, tmp_path, capsys):
-        # L = 265: user 3's first window [240, 505) ends past the horizon, so
-        # no activation is expected of it; all three are active at once
+        # L = 265: user 3 at offset 240 sends its previous period over
+        # [0, 240), so it is not judged; all three are active at once
         users = [
             {"id": 1, "g": 1, "sessions": [[30, 500]]},
             {"id": 2, "g": 2, "offset": 0},
@@ -234,26 +274,72 @@ class TestSyncVerdict:
         sc = channel.scenario_from_json({"p": 5, "q": 53, "variant": "mod", "duration": 500,
                                          "users": users})
         assert cli._peak_active(sc) == 3
-        assert cli._expected_activations(sc) == {1: {30}, 2: {0}, 3: set()}
+        assert cli._expected_activations(sc) == {1: {30}, 2: {0}}
         assert _sync(tmp_path, users, duration=500) == 0
-        assert capsys.readouterr().out.splitlines() == ["2 events, guarantee: general"]
+        assert capsys.readouterr().out.splitlines() == [
+            "2 events, guarantee: general",
+            "not judged: user 3 (started before slot 0)",
+        ]
 
-    @pytest.mark.xfail(strict=True, reason="known defect: the verdict expects a permanent "
-                       "user at its offset, but its previous period fills [0, offset) and "
-                       "the detector may match it earlier at a wrong phase")
     def test_permanent_user_started_before_the_horizon(self, tmp_path, capsys):
+        # a permanent user with offset tau > 0 sends its previous period over
+        # [0, tau): the detector may match it at a wrong phase (user 3 at
+        # slot 43), which the verdict must not report as a violation
         users = [
             {"id": 1, "g": 1, "sessions": [[30, 500]]},
             {"id": 2, "g": 2, "offset": 7},
-            {"id": 3, "g": 3, "offset": 250},  # activated at slot 43
+            {"id": 3, "g": 3, "offset": 250},
         ]
         assert _sync(tmp_path, users, duration=500) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "3 events, guarantee: general",
+            "not judged: user 2 (started before slot 0)",
+            "not judged: user 3 (started before slot 0)",
+        ]
+        assert "308,activated,3,43" in (tmp_path / "events.csv").read_text().splitlines()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_judged_users_are_identified_under_the_cap(self, data):
+        # q > 2p^2 and at most (p+1)/2 users in all, each permanent or in
+        # sessions: every judged user is activated exactly at its starts
+        p = data.draw(st.sampled_from([3, 5]))
+        q = data.draw(st.integers(2 * p * p + 1, 2 * p * p + 12).filter(lambda q: q % p))
+        L = p * q
+        gens = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=(p + 1) // 2,
+                                  unique=True))
+        users = []
+        for g in gens:
+            if data.draw(st.booleans()):  # offset 0 is judged, any other is not
+                offset = data.draw(st.one_of(st.just(0), st.integers(1, L - 1)))
+                users.append({"id": 10 * g, "g": g, "offset": offset})
+            else:
+                spans, a = [], data.draw(st.integers(0, 2 * L))
+                for _ in range(data.draw(st.integers(1, 2))):
+                    b = a + data.draw(st.integers(L, 2 * L))
+                    spans.append([a, b])
+                    a = b + data.draw(st.integers(L, 2 * L))
+                users.append({"id": 10 * g, "g": g, "sessions": spans})
+        scenario = {"p": p, "q": q, "variant": "mod",
+                    "duration": data.draw(st.integers(L, 5 * L)), "users": users}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(scenario))
+            with mock.patch("sys.stdout", new_callable=io.StringIO) as out:
+                code = main(["sync", "--scenario", str(path), "--emit",
+                             str(Path(tmp) / "events.csv"), "--assert-guarantee"])
+        header, *lines = out.getvalue().splitlines()
+        assert code == 0
+        assert header.endswith("guarantee: general")
+        assert lines == [f"not judged: user {u['id']} (started before slot 0)"
+                         for u in users if u.get("offset")]
 
     @given(scenarios())
     @settings(max_examples=100, deadline=None)
     def test_span_reading_matches_user_kinds(self, sc):
         # oracle: permanent users are active over the whole horizon and start
-        # at their offset; session users over their sessions, from each start
+        # at their offset, judged only at offset 0; session users are active
+        # over their sessions and start at each
         offsets = sc.resolved_offsets()
         edges, expected = [], {}
         for u in sc.users:
@@ -261,6 +347,8 @@ class TestSyncVerdict:
             edges += [e for a, b in spans if a < sc.duration
                       for e in ((a, 1), (min(b, sc.duration), -1))]
             starts = [offsets[u.user_id]] if u.sessions is None else [a for a, _ in u.sessions]
+            if u.sessions is None and offsets[u.user_id] > 0:
+                continue
             expected[u.user_id] = {s for s in starts if s + sc.params.L <= sc.duration}
         active = peak = 0
         for _, step in sorted(edges):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crtseq.core import (
     CrtParams,
+    BinarySequence,
     GridPoint,
     Variant,
     characteristic_set,
@@ -19,7 +20,6 @@ from crtseq.sync import (
     ActivityDetector,
     Deactivated,
     GuaranteeLevel,
-    is_matched,
     partial_cross_correlation,
     run_detector,
     slot_matrix,
@@ -51,6 +51,16 @@ def lone_signal(params, g, offset, duration):
 def push_each(detector, signal):
     """Events of pushing the signal one symbol (a Python int) at a time."""
     return [ev for c in signal.codes for ev in detector.push(int(c))]
+
+
+def is_matched(signal, seq: BinarySequence, t0: int) -> bool:
+    """The matching rule read off its definition: every one of the sequence
+    sees a non-idle symbol in the window [t0, t0 + L)."""
+    codes = signal.codes if isinstance(signal, ActivitySignal) else np.asarray(signal)
+    L = len(seq)
+    if t0 < 0 or t0 + L > codes.size:
+        raise ValueError(f"window [{t0}, {t0 + L}) not covered by the signal")
+    return bool(np.all(codes[t0 + seq.support()] != IDLE))
 
 
 def reference_events(codes, params):
@@ -217,8 +227,35 @@ class TestDetector:
         expected = reference_events(codes, params)
         assert events == expected == run_detector(codes, params)
 
-    @pytest.mark.parametrize("one", [int, np.int8, np.int64, np.uint8, np.array],
-                             ids=["int", "int8", "int64", "uint8", "0-d-array"])
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_symbol_pushes_match_definition(self, data):
+        # Python ints pushed one at a time over signals longer than 2L, so the
+        # busy-flag buffer fills and compacts between single pushes: idle
+        # every period-th slot (a period near L puts idle slots late in most
+        # windows, past the ones read before the kernel), never, always, or
+        # at random sparse slots
+        params = data.draw(st.sampled_from([M78, CrtParams(5, 12, Variant.MODIFIED), M551]))
+        L = params.L
+        n = data.draw(st.integers(2 * L + 1, 3 * L))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        busy = rng.integers(1, 3, n)
+        kind = data.draw(st.sampled_from(["periodic", "busy", "idle", "sparse"]))
+        if kind == "periodic":
+            period = data.draw(st.integers(2, L + 1))
+            idle = np.arange(n) % period == data.draw(st.integers(0, period - 1))
+        elif kind == "sparse":
+            idle = rng.random(n) < data.draw(st.sampled_from([1 / 64, 1 / 128, 1 / 512]))
+        else:
+            idle = np.full(n, kind == "idle")
+        codes = np.where(idle, IDLE, busy).astype(np.int8)
+        det = ActivityDetector(params)
+        events = [ev for c in codes.tolist() for ev in det.push(c)]
+        assert det.time == n
+        assert events == reference_events(codes, params) == run_detector(codes, params)
+
+    @pytest.mark.parametrize("one", [int, bool, np.bool_, np.int8, np.int64, np.uint8, np.array],
+                             ids=["int", "bool", "bool_", "int8", "int64", "uint8", "0-d-array"])
     def test_one_symbol_forms_agree(self, one):
         L = M551.L
         users = (UserSpec(2, 2, None, ((10, 10 + L),)), UserSpec(4, 4, 100))
