@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 IDLE, SUCCESS, COLLISION = 0, 1, 2
+_INT64 = range(-(2**63), 2**63)  # ids and slots become int64 arrays
 _SYMBOL_BYTES = np.frombuffer(b"01*", dtype=np.uint8)  # ASCII byte of each code
 _CODE_OF_BYTE = np.full(256, -1, dtype=np.int8)  # inverse table; -1 marks a bad byte
 _CODE_OF_BYTE[_SYMBOL_BYTES] = (IDLE, SUCCESS, COLLISION)
@@ -140,6 +141,8 @@ class Scenario:
         object.__setattr__(self, "users", tuple(self.users))
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        if self.duration not in _INT64:
+            raise ValueError(f"duration {self.duration} outside the int64 range")
         L = self.params.L
         gens = [u.generator for u in self.users]
         if len(set(gens)) != len(gens):
@@ -148,6 +151,14 @@ class Scenario:
         if len(set(ids)) != len(ids):
             raise ValueError("users must have distinct ids")
         for u in self.users:
+            if u.user_id not in _INT64:
+                raise ValueError(f"user {u.user_id}: id outside the int64 range")
+            for a, b in u.sessions or ():
+                for field, slot in (("start", a), ("end", b)):
+                    if slot not in _INT64:
+                        raise ValueError(
+                            f"user {u.user_id}: session {field} {slot} outside the int64 range"
+                        )
             if not 0 <= u.generator < self.params.p:
                 raise ValueError(f"user {u.user_id}: generator outside 0..p-1")
             if u.offset is not None and not 0 <= u.offset < L:
@@ -217,13 +228,17 @@ def _transmission_slots(
     seq: BinarySequence, spans: tuple[tuple[int, int], ...], duration: int
 ) -> np.ndarray:
     """Slots in [0, duration) where a user with this sequence transmits, in
-    packet order: each span [a, b) runs the schedule from slot a, cut at b."""
-    support, slots = seq.support(), [np.empty(0, dtype=np.int64)]
-    for a, b in spans:
-        end = min(b, duration)
-        s = (np.arange(a, end, len(seq))[:, None] + support).ravel()
-        slots.append(s[(s >= 0) & (s < end)])
-    return np.concatenate(slots)
+    packet order: each span [a, b) runs the schedule from slot a, cut at b.
+    All spans expand in one step, one row of q slots per period."""
+    support, L = seq.support(), len(seq)
+    # ends clipped in Python, so no int64 below exceeds the horizon
+    start = np.array([a for a, _ in spans], dtype=np.int64)
+    end = np.array([min(b, duration) for _, b in spans], dtype=np.int64)
+    periods = np.maximum(-((start - end) // L), 0)  # ceil((end - start) / L)
+    span = np.repeat(np.arange(start.size), periods)  # the span of each period row
+    period = np.arange(span.size) - (np.cumsum(periods) - periods)[span]
+    slots = (start[span] + L * period)[:, None] + support
+    return slots[(slots >= 0) & (slots < end[span, None])]
 
 
 def simulate(scenario: Scenario) -> ChannelTrace:
@@ -232,14 +247,17 @@ def simulate(scenario: Scenario) -> ChannelTrace:
     duration, spans = scenario.duration, scenario.spans()
     users = sorted((u.user_id, u.generator) for u in scenario.users)
     m = max(len(users), 1)
-    # each transmission is the key slot*m + rank of its sender's id, so one sort orders them
+    # each transmission is the key (slot << bits) | rank of its sender's id,
+    # so one sort orders them by slot, then id
+    bits = (m - 1).bit_length()
     key = np.concatenate([np.empty(0, dtype=np.int64)] + [
-        _transmission_slots(generate_sequence(g, scenario.params), spans[uid], duration) * m + rank
+        _transmission_slots(generate_sequence(g, scenario.params), spans[uid], duration) << bits
+        | rank
         for rank, (uid, g) in enumerate(users)
     ])
     key.sort()
-    rank = key % m
-    slot = np.floor_divide(key, m, out=key)
+    rank = key & ((1 << bits) - 1)
+    slot = np.right_shift(key, bits, out=key)
     counts = np.bincount(slot, minlength=duration)
     ids = [uid for uid, _ in users]
     return ChannelTrace(

@@ -31,17 +31,21 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write text, or an iterable of text chunks, to path via a temp file."""
+def _write_atomic(path: str | Path, data: str | Iterable[bytes]) -> None:
+    """Write ASCII text, or an iterable of byte chunks, to path via a temp
+    file; an OSError names path, not the temp file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines([data.encode()] if isinstance(data, str) else data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _params(args) -> CrtParams:
@@ -96,32 +100,71 @@ def _load_scenario(path: str) -> channel.Scenario:
         raise ValueError(f"scenario file not found: {path}") from exc
 
 
-_CSV_BLOCK_SLOTS = 1 << 16
+# rows per block: the arrays of a block stay in cache and in freed heap memory
+_CSV_BLOCK_SLOTS = 1 << 14
+# what follows a row's slot, by min(sender count, 2), NUL-padded to one width
+_OUTCOME_WORDS = np.array([b",idle,\n", b",success,", b",collision,"], dtype="S11").view("V11")
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+_MINUS, _PLUS, _NEWLINE = b"-+\n"
 
 
-def _trace_csv_blocks(trace: channel.ChannelTrace) -> Iterator[str]:
-    """trace.csv text in blocks of slots, each one ``format % values``.  The
-    format joins one row template per slot, chosen by its sender count; the
-    values are each row's slot followed by its senders, ascending, which are
-    the block's slice of the sorted transmissions."""
-    yield "slot,outcome,sender\n"
-    most = int(trace.n_senders.max(initial=1))
-    template = np.array(
-        ["%d,idle,\n", "%d,success,%d\n"]
-        + [f"%d,collision,{'+'.join(['%d'] * n)}\n" for n in range(2, most + 1)],
-        dtype=object,
-    )
+def _trace_csv_blocks(trace: channel.ChannelTrace) -> Iterator[bytes]:
+    """trace.csv bytes in blocks of ``_CSV_BLOCK_SLOTS`` slots."""
+    yield b"slot,outcome,sender\n"
     for lo in range(0, trace.duration, _CSV_BLOCK_SLOTS):
-        n = trace.n_senders[lo : lo + _CSV_BLOCK_SLOTS]
-        first, last = np.searchsorted(trace.transmission_slot, [lo, lo + n.size])
-        # row r's slot sits behind the slots and senders of rows 0..r-1
-        at = np.arange(n.size) + np.cumsum(n) - n
-        is_sender = np.ones(n.size + last - first, dtype=bool)
-        is_sender[at] = False
-        values = np.empty(is_sender.size, dtype=np.int64)
-        values[at] = np.arange(lo, lo + n.size)
-        values[is_sender] = trace.transmission_sender[first:last]
-        yield "".join(template[n].tolist()) % tuple(values.tolist())
+        yield _trace_csv_block(trace, lo, min(lo + _CSV_BLOCK_SLOTS, trace.duration))
+
+
+def _trace_csv_block(trace: channel.ChannelTrace, lo: int, hi: int) -> bytes:
+    """Rows lo..hi-1 of trace.csv.  Each row head (slot digits and outcome
+    word) and each transmission (sender digits, then '+' or a newline) is
+    one fixed-width NUL-padded byte record; the records are interleaved in
+    file order and the NULs dropped."""
+    n = trace.n_senders[lo:hi]
+    first, last = np.searchsorted(trace.transmission_slot, [lo, hi])
+    row = trace.transmission_slot[first:last] - lo
+    sender = trace.transmission_sender[first:last]
+    # the magnitude as uint64 is right for -2**63 too, whose negation wraps
+    magnitude = np.where(sender < 0, np.negative(sender), sender).view(np.uint64)
+    slot_digits = len(str(hi - 1))
+    sender_digits = len(str(magnitude.max(initial=0)))
+    record = np.dtype(f"V{max(slot_digits + 11, sender_digits + 2)}")
+
+    head = np.zeros(n.size, dtype=record)
+    words = np.dtype({"names": ["w"], "formats": ["V11"], "offsets": [slot_digits],
+                      "itemsize": record.itemsize})
+    head.view(words)["w"] = _OUTCOME_WORDS[np.minimum(n, 2)]
+    head_bytes = head.view(np.uint8).reshape(n.size, record.itemsize)
+    for i in range(slot_digits):  # the slots are consecutive: digit i runs in blocks of 10**i
+        power = 10**i
+        v0, v1 = lo // power, (hi - 1) // power
+        digit = np.resize(_DIGITS, v1 - v0 + 11)[v0 % 10 : v1 - v0 + 1 + v0 % 10]
+        if i and v0 == 0:
+            digit[0] = 0  # a leading zero
+        if power > 1:
+            runs = np.full(digit.size, power)
+            runs[0] -= lo - v0 * power
+            runs[-1] -= (v1 + 1) * power - hi
+            digit = np.repeat(digit, runs)
+        head_bytes[:, slot_digits - 1 - i] = digit
+
+    tx = np.zeros((sender.size, record.itemsize), dtype=np.uint8)
+    tx[sender < 0, 0] = _MINUS
+    rest = magnitude
+    for i in range(sender_digits):
+        present = rest > 0 if i else True  # digit i of 0 is a leading zero for i > 0
+        rest, digit = np.divmod(rest, np.uint64(10))
+        tx[:, sender_digits - i] = np.where(present, _DIGITS[digit], 0)
+    tx[:, sender_digits + 1] = _PLUS
+    tx[np.diff(row, append=n.size) != 0, sender_digits + 1] = _NEWLINE  # a row's last sender
+
+    # row r's head follows the heads and transmissions of rows 0..r-1, and
+    # transmission j of row r follows r + 1 heads and j earlier transmissions
+    records = np.empty(n.size + sender.size, dtype=record)
+    records[np.arange(n.size) + np.cumsum(n) - n] = head
+    records[row + np.arange(sender.size) + 1] = tx.view(record).ravel()
+    flat = records.view(np.uint8)
+    return flat[flat != 0].tobytes()
 
 
 def _cmd_simulate(args) -> int:
@@ -260,9 +303,9 @@ def _load_payloads(path: str) -> dict[int, np.ndarray]:
 
 def _cmd_session(args) -> int:
     params = erasure.session_params(args.p, args.k)
-    gens = tuple(int(x) for x in args.users.split(","))
-    if args.offsets:
-        offs = tuple(int(x) for x in args.offsets.split(","))
+    gens = _int_list("--users", args.users)
+    if args.offsets is not None:
+        offs = _int_list("--offsets", args.offsets)
     else:
         rng = np.random.default_rng(args.seed)
         offs = tuple(int(x) for x in rng.integers(0, params.L, size=len(gens)))
@@ -314,6 +357,14 @@ def _cmd_compare(args) -> int:
     for line in rows:
         print(line)
     return 0
+
+
+def _int_list(option: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{option} must be a comma-separated list of integers, "
+                         f"got {text!r}") from None
 
 
 def _parse_range(text: str) -> list[int]:

@@ -92,7 +92,10 @@ def scenarios(draw):
     params = CrtParams(p, q, draw(st.sampled_from(list(Variant))))
     L = params.L
     gens = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=min(p, 5), unique=True))
-    ids = draw(st.lists(st.integers(0, 99), min_size=len(gens), max_size=len(gens), unique=True))
+    some_id = st.one_of(
+        st.integers(-99, 99), st.sampled_from([-(2**63), 2**63 - 1]), st.integers(-(2**63), 2**63 - 1)
+    )
+    ids = draw(st.lists(some_id, min_size=len(gens), max_size=len(gens), unique=True))
     users = []
     for uid, g in zip(ids, gens):
         kind = draw(st.sampled_from(["offset", "sampled", "sessions"]))

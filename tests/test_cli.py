@@ -132,7 +132,7 @@ class TestSimulate:
     def test_trace_csv_blocks_match_definition(self, scenario, block):
         # blocks of a few slots put collision rows on both sides of block edges
         with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
-            text = "".join(cli._trace_csv_blocks(channel.simulate(scenario)))
+            text = b"".join(cli._trace_csv_blocks(channel.simulate(scenario))).decode()
         assert text == oracle_trace_csv(scenario)
 
     @pytest.mark.parametrize("block", [1, 7, 10, 1 << 16])
@@ -149,9 +149,42 @@ class TestSimulate:
         trace = channel.simulate(scenario)
         assert all(trace.n_senders[t] >= 3 for t in (9, 10, 99, 100, 999, 1000))
         with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
-            text = "".join(cli._trace_csv_blocks(trace))
+            text = b"".join(cli._trace_csv_blocks(trace)).decode()
         assert "\n999,collision,3+42+365\n1000,collision,7+42+58+512\n" in text
         assert text == oracle_trace_csv(scenario)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_trace_csv_blocks_of_extreme_ids(self, block):
+        # negative ids, the int64 extremes and a 19-digit id; six of the
+        # seven users collide at slot 0, where every schedule starts with a one
+        ids = (-1, -10, 2**63 - 1, -(2**63), 0, 1234567890123456789)
+        users = tuple(channel.UserSpec(uid, g, 0 if g < 4 else None) for g, uid in enumerate(ids))
+        users += (channel.UserSpec(-7, 6, None, ((0, 50), (400, 1005))),)
+        scenario = channel.Scenario(CrtParams(7, 3), users, duration=1010, seed=3)
+        with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
+            text = b"".join(cli._trace_csv_blocks(channel.simulate(scenario))).decode()
+        assert text.startswith(
+            "slot,outcome,sender\n0,collision,-9223372036854775808+-10+-7+-1+0+9223372036854775807\n"
+        )
+        assert text == oracle_trace_csv(scenario)
+
+    def test_session_after_the_horizon_contributes_nothing(self, tmp_path, capsys):
+        # a session far past the horizon that still fits int64 adds no slot
+        late = copy.deepcopy(FAILURE_SCENARIO)
+        late["users"].append({"id": 5, "g": 5, "sessions": [[2**62, 2**63 - 1]]})
+        outs = []
+        for name, scenario in (("late", late), ("plain", FAILURE_SCENARIO)):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            path.write_text(json.dumps(scenario))
+            assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+            outs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outs[0] == outs[1]
+
+    def test_unwritable_out_names_the_path(self, tmp_path, capsys, failure_scenario):
+        out = tmp_path / "missing" / "trace.csv"
+        assert main(["simulate", "--scenario", str(failure_scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: No such file or directory\n"
 
     def test_trace_csv_blocks_join_seamlessly(self, tmp_path, capsys, failure_scenario,
                                               monkeypatch):
@@ -439,6 +472,16 @@ class TestSession:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--users", "--offsets"])
+    @pytest.mark.parametrize("value", ["", "1,,2", "1,a"])
+    def test_malformed_list_is_usage_error(self, capsys, option, value):
+        args = {"--users": "1,2", "--offsets": "0,9", option: value}
+        argv = ["session", "--p", "5", "--k", "5"] + [x for kv in args.items() for x in kv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {option} must be a comma-separated list of integers, got {value!r}\n"
+        )
+
     def test_payload_must_cover_users(self, tmp_path, capsys):
         payload_path = tmp_path / "payload.json"
         payload_path.write_text(json.dumps({"1": list(range(14))}))
@@ -480,6 +523,14 @@ MALFORMED_SCENARIOS = [
     (_edited(5, "users", 1), "users[1]"),
     (_edited("0", "users", 3, "offset"), "'users[3].offset'"),
     (_edited([[10]], "users", 4, "sessions"), "'users[4].sessions[0]'"),
+    # numbers outside int64, named with their user and field
+    (_edited(2**70, "users", 0, "id"), "user 1180591620717411303424: id outside the int64"),
+    (_edited(-(2**63) - 1, "users", 0, "id"), "id outside the int64 range"),
+    (_edited({"id": 6, "g": 6, "sessions": [[10**30, 10**30 + 56]]}, "users", 4),
+     "user 6: session start 1000000000000000000000000000000 outside the int64 range"),
+    (_edited({"id": 6, "g": 6, "sessions": [[10, 2**64]]}, "users", 4),
+     "user 6: session end 18446744073709551616 outside the int64 range"),
+    (_edited(2**63, "duration"), "duration 9223372036854775808 outside the int64 range"),
 ]
 
 
