@@ -58,11 +58,11 @@ def _cmd_generate(args) -> int:
     params = _params(args)
     gens = list(range(params.p)) if args.all else [args.g]
     seqs = [generate_sequence(g, params) for g in gens]
-    print("\n".join(map(str, seqs)))
     if args.out:
         _write_atomic(
             args.out, "".join(format_sequence_entry(params, g, s) for g, s in zip(gens, seqs))
         )
+    print("\n".join(map(str, seqs)))
     return 0
 
 
@@ -86,18 +86,24 @@ def _cmd_correlate(args) -> int:
         "epsilon": _frac(correlation.pairwise_epsilon(a, b)),
     }
     text = json.dumps(payload, indent=2)
-    print(text)
     if args.out:
         _write_atomic(args.out, text + "\n")
+    print(text)
     return 0
+
+
+# what reading a file that is not UTF-8 JSON raises
+_DECODE_ERRORS = (json.JSONDecodeError, UnicodeDecodeError)
 
 
 def _load_scenario(path: str) -> channel.Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return channel.scenario_from_json(fh.read())
     except FileNotFoundError as exc:
         raise ValueError(f"scenario file not found: {path}") from exc
+    except _DECODE_ERRORS as exc:
+        raise ValueError(f"scenario file {path}: {exc}") from None
 
 
 # rows per block: the arrays of a block stay in cache and in freed heap memory
@@ -280,8 +286,11 @@ def _cmd_sync(args) -> int:
 def _load_payloads(path: str) -> dict[int, np.ndarray]:
     """Generator -> information symbols from a JSON object
     {"<generator>": [symbol, ...], ...}; a malformed file raises ValueError."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except _DECODE_ERRORS as exc:
+        raise ValueError(f"payload file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"payload file must be a JSON object, got {raw!r:.60}")
     payloads = {}
@@ -336,9 +345,9 @@ def _cmd_session(args) -> int:
         "measured_throughput": _frac(report.measured_throughput),
     }
     text = json.dumps(payload, indent=2)
-    print(text)
     if args.out:
         _write_atomic(args.out, text + "\n")
+    print(text)
     return 0 if report.all_recovered else GUARANTEE_VIOLATION
 
 
@@ -449,7 +458,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -70,13 +70,10 @@ class Deactivated:
 # materializes a (p-1)*q*n index array.
 _GATHER_MAX_STARTS = 128
 
-# A one-start decision first reads this many of each due user's ones in
-# Python: on a mostly idle channel one of them is idle and settles the start
-# at once.  The first due user whose read ones are all busy, and every due
-# user after it, go to the kernel in one call.  The cap bounds the Python
-# work where idle slots lie late in most windows (a channel idle every q-th
-# slot), so the kernel decides anyway.
-_PREFILTER_ONES = 8
+
+def _as_int(flags: np.ndarray) -> int:
+    """The 1-D boolean array as one int whose bit i is flags[i]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 class ActivityDetector:
@@ -85,7 +82,8 @@ class ActivityDetector:
     ``push`` takes one symbol, a 1-D array of symbols, or an ActivitySignal.
     A start slot t0 is decided once its window [t0, t0+L) is complete, so the
     detector keeps only the busy flags of the at most L-1 slots from the
-    oldest undecided start onward, plus each user's next start to examine.
+    oldest undecided start onward, plus each active user's next start to
+    examine; an idle user's next start is always the oldest undecided one.
     Any chunking of a signal yields the same events as pushing it at once.
     """
 
@@ -94,7 +92,6 @@ class ActivityDetector:
         self.user_ids = list(range(1, params.p))
         # every CRT sequence has weight q, so the supports stack into (p-1, q)
         self._offsets = np.stack([generate_sequence(g, params).support() for g in self.user_ids])
-        self._heads = self._offsets[:, :_PREFILTER_ONES].tolist()
         self._L = params.L
         # busy flags of slots time-(hi-lo) .. time-1 live in _buf[lo:hi].  A
         # chunk is written in place behind them; only when it does not fit
@@ -107,19 +104,25 @@ class ActivityDetector:
         self._next = [0] * len(self.user_ids)
         self.active: dict[int, bool] = dict.fromkeys(self.user_ids, False)
         self.start: dict[int, int | None] = dict.fromkeys(self.user_ids, None)
+        # state of the one-symbol path: the idle users, the earliest next
+        # start of an active user, each sequence's ones as the bits of one
+        # int (built at the first one-symbol decision), and while some user
+        # is idle the busy flags of the last decided window as one int
+        self._idle = list(range(len(self.user_ids)))
+        self._wake = math.inf
+        self._masks: list[int] | None = None
+        self._w: int | None = None
+        self._top = 1 << (self._L - 1)
 
     @property
     def time(self) -> int:
         """Number of symbols consumed so far."""
         return self._now
 
-    def _matched(self, busy: np.ndarray, n: int, first: int = 0) -> np.ndarray:
-        """matched[k, j]: generator user_ids[first + k] matches the window
-        that starts at busy[j], for the first n starts (shape (p-1-first,)
-        when n = 1)."""
-        offsets = self._offsets[first:]
-        if n == 1:  # the ufunc itself: ndarray.all adds a Python-level call
-            return np.logical_and.reduce(busy[offsets], axis=1)
+    def _matched(self, busy: np.ndarray, n: int) -> np.ndarray:
+        """matched[k, j]: generator user_ids[k] matches the window that
+        starts at busy[j], for the first n starts."""
+        offsets = self._offsets
         if n <= _GATHER_MAX_STARTS:
             return busy[offsets[:, None, :] + np.arange(n)[:, None]].all(axis=2)
         matched = np.ones((len(offsets), n), dtype=bool)
@@ -156,6 +159,13 @@ class ActivityDetector:
         events.append((t0, u, Activated(u, t0)))
         return t0 + self._L
 
+    def _reindex(self) -> None:
+        """Recompute the idle users and the wake time after a decision."""
+        users = range(len(self.user_ids))
+        self._idle = [k for k in users if not self.active[self.user_ids[k]]]
+        self._wake = min((self._next[k] for k in users if self.active[self.user_ids[k]]),
+                         default=math.inf)
+
     def push(self, symbols) -> list[Activated | Deactivated]:
         """Consume symbols; return the events they decide, ordered by
         (start, user).
@@ -165,49 +175,74 @@ class ActivityDetector:
         deactivated at the first one that fails to match.
         """
         if isinstance(symbols, int) and 0 <= symbols <= 2 and self._hi < self._buf.size:
-            self._view[self._hi] = symbols != IDLE
+            busy = symbols != IDLE
+            self._view[self._hi] = busy
             self._hi += 1
             self._now += 1
+            if self._hi - self._lo < self._L:
+                return []
+            return self._decide_one(busy)
+        if isinstance(symbols, ActivitySignal):
+            codes = symbols.codes  # validated on construction
         else:
-            if isinstance(symbols, ActivitySignal):
-                codes = symbols.codes  # validated on construction
-            else:
-                codes = np.asarray(symbols)
-                if codes.ndim > 1:
-                    raise ValueError(f"push takes a symbol or a 1-D array, got shape {codes.shape}")
-                check_codes(codes)
-            self._append(codes)
+            codes = np.asarray(symbols)
+            if codes.ndim > 1:
+                raise ValueError(f"push takes a symbol or a 1-D array, got shape {codes.shape}")
+            check_codes(codes)
+        self._append(codes)
+        self._w = None
         n = self._hi - self._lo - self._L + 1
         if n <= 0:
             return []
-        events = self._decide_one() if n == 1 else self._decide(n)
+        events = self._decide(n)
+        self._reindex()
         return [ev for _, _, ev in events]
 
-    def _decide_one(self) -> list:
-        """Decide the oldest undecided start for the users due there: every
-        idle user, and each active one at a whole period of its start."""
+    def _decide_one(self, busy: bool) -> list[Activated | Deactivated]:
+        """Decide the oldest undecided start, whose window ends with the
+        symbol just pushed, for the users due there: every idle user, and
+        each active one at a whole period of its start.
+
+        Slot 0 is a one of every sequence, so an idle start slot matches no
+        user; then, and when no user is idle, nothing changes before the
+        wake time.  Otherwise user k matches when the window's busy bits
+        cover its mask.
+        """
         L, lo = self._L, self._lo
         t = self._now - L
         self._lo = lo + 1
-        nxt = self._next
-        due = [k for k, t0 in enumerate(nxt) if t0 == t]
-        view, heads, matched = self._view, self._heads, ()
-        for i, k in enumerate(due):
-            for d in heads[k]:
-                if not view[lo + d]:
-                    break
-            else:  # the kernel decides users k.. and the due ones are read
-                flags = self._matched(self._buf[lo : lo + L], 1, k).tolist()
-                matched = [j for j in due[i:] if flags[j - k]]
-                break
+        w = self._w
+        if w is not None:  # slide the last decided window by one slot
+            w = w >> 1 | self._top if busy else w >> 1
+        if t < self._wake and (not self._idle or not self._view[lo]):
+            self._w = w
+            return []
+        if w is None:
+            w = _as_int(self._buf[lo : lo + L])
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = []
+            flags = np.zeros(L, dtype=bool)
+            for offs in self._offsets:
+                flags[offs] = True
+                masks.append(_as_int(flags))
+                flags[offs] = False
+        flips = [k for k in self._idle if w & masks[k] == masks[k]]
+        if t >= self._wake:
+            nxt = self._next
+            for k, t0 in enumerate(nxt):
+                if t0 == t and self.active[self.user_ids[k]]:
+                    if w & masks[k] == masks[k]:
+                        nxt[k] = t + L
+                    else:
+                        flips.append(k)
         events: list = []
-        for k in due:
-            hit = k in matched
-            if hit == self.active[self.user_ids[k]]:
-                nxt[k] = t + L if hit else t + 1
-            else:
-                nxt[k] = self._flip(k, t, events)
-        return events
+        if flips or t >= self._wake:
+            for k in sorted(flips):
+                self._next[k] = self._flip(k, t, events)
+            self._reindex()
+        self._w = w if self._idle else None
+        return [ev for _, _, ev in events]
 
     def _decide(self, n: int) -> list:
         """Decide the n oldest undecided starts for every user."""
@@ -228,7 +263,7 @@ class ActivityDetector:
         changes = (flags[1:] != flags[:-1]).nonzero()[0].tolist()
         events: list = []
         for k, u in enumerate(self.user_ids):
-            t0 = self._next[k]
+            t0 = max(self._next[k], base)  # an idle user's may be stale
             row = k * n - base  # row + t0 is the flat position of start t0
             while t0 < end:
                 at = bisect_left(changes, row + t0)

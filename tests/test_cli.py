@@ -582,6 +582,66 @@ def test_malformed_payload_is_usage_error(tmp_path, capsys, payload, named):
     assert "Traceback" not in err
 
 
+# not JSON (a field name without quotes), and not UTF-8
+UNREADABLE_JSON = [(b'{\n  p: 7}', "Expecting property name enclosed in double quotes"),
+                   (b'{"p": "\xff"}', "'utf-8' codec can't decode byte 0xff")]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sync"])
+@pytest.mark.parametrize(("content", "reason"), UNREADABLE_JSON, ids=["syntax", "encoding"])
+def test_unreadable_scenario_file_is_named(tmp_path, capsys, command, content, reason):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    out_flag = "--out" if command == "simulate" else "--emit"
+    code = main([command, "--scenario", str(path), out_flag, str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: scenario file {path}: {reason}")
+
+
+@pytest.mark.parametrize(("content", "reason"), UNREADABLE_JSON, ids=["syntax", "encoding"])
+def test_unreadable_payload_file_is_named(tmp_path, capsys, content, reason):
+    path = tmp_path / "payload.json"
+    path.write_bytes(content)
+    code = main(["session", "--p", "5", "--k", "5", "--users", "1,2",
+                 "--offsets", "0,9", "--payload", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: payload file {path}: {reason}")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sync"])
+def test_scenario_too_large_for_memory_is_usage_error(tmp_path, capsys, command):
+    # a permanent user transmits in every period of 2**62 slots: the slot
+    # array would need far more bytes than any address space holds, so
+    # numpy refuses it before touching memory
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(FAILURE_SCENARIO, duration=2**62)))
+    out_flag = "--out" if command == "simulate" else "--emit"
+    code = main([command, "--scenario", str(path), out_flag, str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--p", "3", "--q", "5", "--g", "1"],
+     ["correlate", "--p", "5", "--q", "7", "--g", "1", "--h", "2"],
+     ["session", "--p", "5", "--k", "5", "--users", "1,2", "--offsets", "1,2"],
+     ["sweep", "--p", "5", "--k-range", "2:3", "--m", "2", "--trials", "10"],
+     ["compare", "--p", "3", "--k", "2"]],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_prints_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+
 class TestOneParserPerProcess:
     """main() builds its parser once per process; a call must behave as in
     a fresh process whatever the calls before it parsed.  The fresh

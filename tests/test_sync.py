@@ -124,6 +124,15 @@ class TestIsMatched:
 
 
 class TestDetector:
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("p, q", [(3, 2), (3, 10), (5, 12), (7, 8), (7, 101), (11, 243)])
+    def test_every_sequence_has_a_one_at_slot_0(self, p, q, variant):
+        # column 0 maps to grid point (0, 0), which is slot 0: a start whose
+        # own slot is idle matches no user, which the one-symbol path uses
+        params = CrtParams(p, q, variant)
+        for g in range(p):
+            assert generate_sequence(g, params).bits[0] == 1
+
     def test_lone_user_activates_at_true_start(self):
         sig = lone_signal(M551, 3, 17, 3 * M551.L)
         events = run_detector(sig, M551)
@@ -253,6 +262,52 @@ class TestDetector:
         events = [ev for c in codes.tolist() for ev in det.push(c)]
         assert det.time == n
         assert events == reference_events(codes, params) == run_detector(codes, params)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_symbol_pushes_across_busy_and_idle_stretches(self, data):
+        # long all-busy stretches activate every user, so the one-symbol
+        # path drops its window int; sparse or periodic idle stretches drop
+        # users again, so it rebuilds the int and slides it; some stretches
+        # go in as chunks between the one-symbol pushes
+        params = data.draw(st.sampled_from(
+            [M78, CrtParams(5, 12, Variant.MODIFIED), CrtParams(7, 8, Variant.STANDARD),
+             CrtParams(5, 12, Variant.STANDARD), CrtParams(3, 10, Variant.STANDARD)]))
+        L = params.L
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        det = ActivityDetector(params)
+        stretches, events = [], []
+        for _ in range(data.draw(st.integers(2, 6))):
+            n = data.draw(st.integers(1, 3 * L))
+            kind = data.draw(st.sampled_from(["busy", "sparse", "periodic"]))
+            if kind == "busy":
+                idle = np.zeros(n, dtype=bool)
+            elif kind == "sparse":
+                idle = rng.random(n) < data.draw(st.sampled_from([1 / 8, 1 / 32, 1 / 128]))
+            else:
+                period = data.draw(st.integers(2, L + 1))
+                idle = np.arange(n) % period == data.draw(st.integers(0, period - 1))
+            codes = np.where(idle, IDLE, rng.integers(1, 3, n)).astype(np.int8)
+            if data.draw(st.booleans()):
+                events += [ev for c in codes.tolist() for ev in det.push(c)]
+            else:
+                events += det.push(codes)
+            stretches.append(codes)
+        codes = np.concatenate(stretches)
+        assert det.time == codes.size
+        assert events == reference_events(codes, params) == run_detector(codes, params)
+
+    def test_one_symbol_path_after_every_user_was_active(self):
+        # every user is active after an all-busy stretch; an idle stretch
+        # then drops them one by one at their period boundaries, and a busy
+        # stretch activates them again on a window rebuilt from the buffer
+        L = M551.L
+        codes = np.concatenate([np.ones(2 * L, dtype=np.int8), np.zeros(L + 3, dtype=np.int8),
+                                np.full(L + 20, 2, dtype=np.int8)])
+        det = ActivityDetector(M551)
+        events = push_each(det, ActivitySignal(codes))
+        assert events == reference_events(codes, M551)
+        assert [type(ev) for ev in events] == [Activated] * 4 + [Deactivated] * 4 + [Activated] * 4
 
     @pytest.mark.parametrize("one", [int, bool, np.bool_, np.int8, np.int64, np.uint8, np.array],
                              ids=["int", "bool", "bool_", "int8", "int64", "uint8", "0-d-array"])
