@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BinarySequence, CrtParams, Variant, crt_map, generate_sequence
+from .core import BinarySequence, CrtParams, Variant, generate_sequence
 from .correlation import correlation_spectrum
 
 __all__ = [
@@ -143,6 +143,8 @@ class Scenario:
             raise ValueError("duration must be positive")
         if self.duration not in _INT64:
             raise ValueError(f"duration {self.duration} outside the int64 range")
+        if self.seed < 0:
+            raise ValueError(f"scenario field 'seed' must be non-negative, got {self.seed}")
         L = self.params.L
         gens = [u.generator for u in self.users]
         if len(set(gens)) != len(gens):
@@ -332,58 +334,60 @@ class ThroughputReport:
 class _SuccessCounter:
     """One-period success counts of a fixed user set, per offset row.
 
-    Works on the p x q array view: every user's support holds one point
-    per column, and a delay with residue pair (a, c) moves the point of
-    column j to row g*((j - c) mod q) + a.  Each column of a row is a
-    p-bit mask of W = ceil(p/64) uint64 words; a per-user table over
-    (row shift a, column j' in [0, 2q)) holds the one-hot mask of
-    g*(j' mod q) + a, so a delay's q columns are the q*W consecutive
-    words starting at column a*2q + q - c.  A slot succeeds when exactly
-    one user's bit is set in it.
+    Works on each user's L-bit schedule, 64 slots to a uint64 word, so a
+    row of offsets is W = ceil(L/64) words per user.  A user with delay
+    tau holds slot t when its schedule has a one at t + w, w = (-tau) mod
+    L, so its row is the L bits of the repeated schedule from bit w on.
+    The per-user table holds that repeated schedule packed at each of the
+    64 bit shifts, one row of R = floor((L-1)/64) + W words per shift; the
+    W words of delay tau start at word (w & 63)*R + (w >> 6).  A slot
+    succeeds when exactly one user's bit is set in it; the bits past L in
+    the last word repeat the schedule and are masked off before counting.
     """
 
-    _BATCH_WORDS = 1 << 15  # lanes per batch (b * q * W), sized for cache
+    _BATCH_WORDS = 1 << 15  # lanes per batch (b * W), sized for cache
 
     def __init__(self, params: CrtParams, generators: tuple[int, ...]):
-        p, q = params.p, params.q
-        for g in generators:
-            if not 0 <= g < p:
-                raise ValueError(f"generator {g} outside 0..{p - 1}")
+        L = params.L
         self.params = params
-        self.words = -(-p // 64)
-        jp = np.arange(2 * q) % q
-        shifts = np.arange(p)[:, None]
+        self.words = -(-L // 64)
+        self._row = (L - 1) // 64 + self.words
+        self._tail = np.uint64((1 << (L - 64 * (self.words - 1))) - 1)  # the last word's slots
         self._windows = []
-        for g in generators:
-            rows = (g * jp[None, :] + shifts) % p  # (p, 2q)
-            table = np.zeros((p, 2 * q, self.words), dtype=np.uint64)
-            bits = np.uint64(1) << (rows & 63).astype(np.uint64)
-            table[shifts, np.arange(2 * q), rows >> 6] = bits
-            # read-only view: window i is the q*W words starting at column i
-            windows = np.lib.stride_tricks.sliding_window_view(table.ravel(), q * self.words)
-            self._windows.append(windows[:: self.words])
+        for g in generators:  # generate_sequence rejects a generator outside 0..p-1
+            bits = np.resize(generate_sequence(g, params).bits, 64 * self._row + 63)
+            shifted = np.lib.stride_tricks.sliding_window_view(bits, 64 * self._row)[:64]
+            table = np.packbits(shifted, axis=1, bitorder="little").view("<u8").ravel()
+            # read-only view: window i is the W words starting at word i
+            self._windows.append(np.lib.stride_tricks.sliding_window_view(table, self.words))
 
     def __call__(self, offsets: np.ndarray) -> np.ndarray:
         """Slots with exactly one transmitter; offsets has shape (n, M),
-        row i assigning a delay to each of the M users."""
-        q = self.params.q
-        starts, cols = crt_map(np.asarray(offsets, dtype=np.int64), self.params)
-        starts *= 2 * q  # in place: column a*2q + q - c of the residue pair (a, c)
-        starts += q
-        starts -= cols
-        del cols  # free the column residues before the batches
-        lanes = q * self.words
-        batch = max(1, self._BATCH_WORDS // lanes)
+        row i assigning a delay in 0..L-1 to each of the M users."""
+        L = self.params.L
+        starts = np.array(offsets, dtype=np.int64)  # a copy, worked on in place
+        bad = starts[(starts < 0) | (starts >= L)]
+        if bad.size:
+            raise ValueError(f"offset {bad[0]} outside 0..{L - 1}")
+        np.negative(starts, out=starts)
+        starts %= L  # w = (-tau) mod L
+        word = starts >> 6
+        starts &= 63
+        starts *= self._row
+        starts += word  # in place: word (w & 63)*R + (w >> 6)
+        del word  # free the word indices before the batches
+        batch = max(1, self._BATCH_WORDS // self.words)
         out = np.empty(starts.shape[0], dtype=np.int64)
         for lo in range(0, starts.shape[0], batch):
             chunk = starts[lo : lo + batch]
-            once = np.zeros((chunk.shape[0], lanes), dtype=np.uint64)
+            once = np.zeros((chunk.shape[0], self.words), dtype=np.uint64)
             multi = np.zeros_like(once)
             for u, windows in enumerate(self._windows):
                 mask = windows[chunk[:, u]]
                 multi |= once & mask
                 once |= mask
             once &= ~multi
+            once[:, -1] &= self._tail
             out[lo : lo + batch] = np.bitwise_count(once).sum(axis=1, dtype=np.int64)
         return out
 

@@ -187,7 +187,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def _cmd_sweep(args) -> int:
+    _check_seed(args.seed)  # checked as given, although k's draw is seeded with seed + k
     rows = ["k,L,min,mean,max,bound"]
     for k in _parse_range(args.k_range):
         rep = channel.monte_carlo_throughput(args.p, k, args.m, args.trials, args.seed + k)
@@ -311,6 +317,7 @@ def _load_payloads(path: str) -> dict[int, np.ndarray]:
 
 
 def _cmd_session(args) -> int:
+    _check_seed(args.seed)
     params = erasure.session_params(args.p, args.k)
     gens = _int_list("--users", args.users)
     if args.offsets is not None:

@@ -15,6 +15,7 @@ from crtseq.channel import (
     _SuccessCounter,
     ActivitySignal,
     Scenario,
+    ThroughputReport,
     UserSpec,
     adversarial_min_throughput,
     channel_activity,
@@ -379,7 +380,7 @@ class TestThroughputExperiments:
 
 def oracle_success_counts(offsets, generators, params):
     """Slots with exactly one transmitter per offset row, by counting every
-    slot of the period: the L-slot bincount the column kernel replaced."""
+    slot of the period with one L-slot bincount per row."""
     L = params.L
     supports = [generate_sequence(g, params).support() for g in generators]
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -402,7 +403,7 @@ def oracle_pair_throughput(p, k, generators):
 
 @st.composite
 def kernel_cases(draw):
-    """Parameters (p up to 67, so two words per column), a generator set
+    """Parameters (p up to 67, so L from 6 slots to rows of many words), a generator set
     (every generator, as monte_carlo_throughput uses at M = p, or any
     subset, generator 0 allowed) and offset rows with repeats and the
     extreme delays 0 and L - 1."""
@@ -431,7 +432,7 @@ class TestSuccessCounter:
         )
 
     def test_two_words_per_column(self):
-        params = construction_params(67, 2)  # q = 133, W = 2
+        params = construction_params(67, 2)  # L = 8911: 140 words per row, 15 slots in the last
         gens = tuple(range(67))
         rng = np.random.default_rng(5)
         offsets = rng.integers(0, params.L, size=(40, 67))
@@ -442,6 +443,45 @@ class TestSuccessCounter:
         assert np.array_equal(counts, oracle_success_counts(offsets, gens, params))
         # at one common delay the p generators meet only in columns 0 and p
         assert counts[0] == 67 * (133 - 2)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_fewer_slots_than_one_word(self, variant):
+        params = CrtParams(3, 2, variant)  # L = 6: one word, 58 bits masked
+        grid = np.stack(np.meshgrid(*[np.arange(params.L)] * 3, indexing="ij"), axis=-1)
+        offsets = grid.reshape(-1, 3)  # every offset triple
+        assert np.array_equal(
+            _SuccessCounter(params, (0, 1, 2))(offsets),
+            oracle_success_counts(offsets, (0, 1, 2), params),
+        )
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize(("p", "q"), [(3, 64), (5, 13)])  # L = 192 = 3*64, L = 65 = 64 + 1
+    def test_period_at_a_word_boundary(self, p, q, variant):
+        params = CrtParams(p, q, variant)
+        gens = tuple(range(p))
+        offsets = np.random.default_rng(p * q).integers(0, params.L, size=(200, p))
+        offsets[0] = 0
+        offsets[1] = params.L - 1
+        offsets[2] = np.arange(p) * 63 % params.L  # delays that cross word boundaries
+        assert np.array_equal(
+            _SuccessCounter(params, gens)(offsets), oracle_success_counts(offsets, gens, params)
+        )
+
+    @pytest.mark.parametrize("bad", [-1, 45])
+    def test_rejects_offset_outside_period(self, bad):
+        count = _SuccessCounter(construction_params(5, 2), (1, 2))  # L = 45
+        with pytest.raises(ValueError, match=f"offset {bad} outside 0..44"):
+            count(np.array([[0, 3], [bad, 7]]))
+
+    def test_multi_word_reports_are_pinned(self):
+        # recorded from the column kernel this one replaced, which stored one
+        # ceil(p/64)-word p-bit mask per CRT column
+        assert monte_carlo_throughput(67, 2, 67, trials=300, seed=7) == ThroughputReport(
+            300, 0.3556278756592975, 0.3705525006546216, 0.38435641342161375
+        )
+        assert monte_carlo_throughput(131, 2, 60, trials=300, seed=11) == ThroughputReport(
+            300, 0.28609868093942853, 0.29141752702953017, 0.2960720657482963
+        )
 
     def test_spans_several_batches(self):
         params = construction_params(5, 2)

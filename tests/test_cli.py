@@ -422,6 +422,9 @@ class TestSweep:
             ({"--k-range": "2:"}, "--k-range must be lo:hi or a list of integers, got '2:'"),
             ({"--k-range": "a:b"}, "--k-range must be lo:hi or a list of integers, got 'a:b'"),
             ({"--k-range": "2,,3"}, "--k-range must be lo:hi or a list of integers, got '2,,3'"),
+            ({"--seed": "-5"}, "--seed must be a non-negative integer, got -5"),
+            # every draw's seed, seed + k, is non-negative here
+            ({"--seed": "-1"}, "--seed must be a non-negative integer, got -1"),
         ],
     )
     def test_degenerate_input_is_usage_error(self, tmp_path, capsys, override, named):
@@ -470,6 +473,15 @@ class TestSession:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "k=-1" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "session.json"
+        assert main(["session", "--p", "5", "--k", "5", "--users", "1,2", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--users", "--offsets"])
@@ -531,6 +543,7 @@ MALFORMED_SCENARIOS = [
     (_edited({"id": 6, "g": 6, "sessions": [[10, 2**64]]}, "users", 4),
      "user 6: session end 18446744073709551616 outside the int64 range"),
     (_edited(2**63, "duration"), "duration 9223372036854775808 outside the int64 range"),
+    (_edited(-3, "seed"), "scenario field 'seed' must be non-negative, got -3"),
 ]
 
 
