@@ -9,25 +9,27 @@ Submodules:
 - ``erasure``     per-period MDS erasure coding and session recovery
 - ``baselines``   prime / extended prime reference families
 - ``cli``         the ``crtseq`` command
+
+Each concept has one implementation here.  The paper's definitions
+(characteristic sets, the correlation at one shift, scalar field products)
+live in the test suite as brute-force oracles of these computations.  The
+package exports the sequence layer and the correlation predictors; the
+other layers are imported from their submodules.
 """
 
 from .core import (
     BinarySequence,
-    CharacteristicSet,
     CrtParams,
     GridPoint,
     Variant,
-    characteristic_set,
     crt_inverse,
     crt_map,
     generate_sequence,
-    multi_rate_characteristic_set,
 )
 from .correlation import (
     correlation_spectrum,
     crt_epsilon,
     epsilon_uniformity,
-    hamming_correlation,
     predicted_autocorrelation,
     predicted_cross_range,
     predicted_distribution,
@@ -35,19 +37,15 @@ from .correlation import (
 
 __all__ = [
     "BinarySequence",
-    "CharacteristicSet",
     "CrtParams",
     "GridPoint",
     "Variant",
-    "characteristic_set",
     "crt_inverse",
     "crt_map",
     "generate_sequence",
-    "multi_rate_characteristic_set",
     "correlation_spectrum",
     "crt_epsilon",
     "epsilon_uniformity",
-    "hamming_correlation",
     "predicted_autocorrelation",
     "predicted_cross_range",
     "predicted_distribution",

@@ -42,16 +42,12 @@ __all__ = [
     "peak_throughput_bound",
     "monte_carlo_throughput",
     "exhaustive_pair_throughput",
-    "adversarial_min_throughput",
     "scenario_from_json",
-    "scenario_to_json",
 ]
 
 IDLE, SUCCESS, COLLISION = 0, 1, 2
 _INT64 = range(-(2**63), 2**63)  # ids and slots become int64 arrays
 _SYMBOL_BYTES = np.frombuffer(b"01*", dtype=np.uint8)  # ASCII byte of each code
-_CODE_OF_BYTE = np.full(256, -1, dtype=np.int8)  # inverse table; -1 marks a bad byte
-_CODE_OF_BYTE[_SYMBOL_BYTES] = (IDLE, SUCCESS, COLLISION)
 
 
 def check_codes(codes: np.ndarray) -> None:
@@ -79,17 +75,6 @@ class ActivitySignal:
         check_codes(codes)  # before the cast, which would wrap 256 to 0 and cut 1.5 to 1
         self.codes = codes.astype(np.int8)  # a copy, so freezing it leaves the caller's array be
         self.codes.flags.writeable = False
-
-    @classmethod
-    def from_string(cls, text: str) -> "ActivitySignal":
-        text = text.strip()
-        # a non-ASCII character encodes to bytes >= 0x80, one that cannot be
-        # encoded to "?"; both are bad bytes
-        codes = _CODE_OF_BYTE[np.frombuffer(text.encode(errors="replace"), dtype=np.uint8)]
-        if codes.size and codes.min() < 0:
-            at = next(i for i, ch in enumerate(text) if ch not in "01*")
-            raise ValueError(f"activity character {text[at]!r} at position {at} is not 0, 1 or *")
-        return cls(codes)
 
     def __len__(self) -> int:
         return int(self.codes.size)
@@ -432,44 +417,6 @@ def exhaustive_pair_throughput(p: int, k: int, generators: tuple[int, int]) -> T
     )
 
 
-def adversarial_min_throughput(
-    p: int,
-    k: int,
-    generators: tuple[int, ...],
-    restarts: int = 20,
-    seed: int = 0,
-) -> float:
-    """Search for a bad offset combination: random restarts plus greedy
-    +-1 coordinate descent on the success count.  Returns the worst
-    throughput found (an upper bound on the true worst case)."""
-    params = construction_params(p, k)
-    if not generators:
-        raise ValueError(f"need at least one generator, got {generators!r}")
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got restarts={restarts}")
-    count = _SuccessCounter(params, generators)
-    L = params.L
-    m = len(generators)
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(restarts):
-        cur = rng.integers(0, L, size=m)
-        cur_val = int(count(cur[None, :])[0])
-        while True:
-            neigh = np.repeat(cur[None, :], 2 * m, axis=0)
-            for u in range(m):
-                neigh[2 * u, u] = (neigh[2 * u, u] + 1) % L
-                neigh[2 * u + 1, u] = (neigh[2 * u + 1, u] - 1) % L
-            vals = count(neigh)
-            j = int(vals.argmin())
-            if vals[j] < cur_val:
-                cur, cur_val = neigh[j], int(vals[j])
-            else:
-                break
-        best = min(best, cur_val / L)
-    return float(best)
-
-
 # --- scenario file format ---
 
 
@@ -533,22 +480,3 @@ def scenario_from_json(obj: dict | str) -> Scenario:
         )
     seed = _json_field(obj, "seed", "", int, required=False)
     return Scenario(params, tuple(users), _json_field(obj, "duration", "", int), seed or 0)
-
-
-def scenario_to_json(sc: Scenario) -> dict:
-    return {
-        "p": sc.params.p,
-        "q": sc.params.q,
-        "variant": sc.params.variant.value,
-        "duration": sc.duration,
-        "seed": sc.seed,
-        "users": [
-            {
-                "id": u.user_id,
-                "g": u.generator,
-                "offset": u.offset,
-                "sessions": None if u.sessions is None else [list(s) for s in u.sessions],
-            }
-            for u in sc.users
-        ],
-    }

@@ -71,14 +71,20 @@ def _cmd_correlate(args) -> int:
     a = generate_sequence(args.g, params)
     b = generate_sequence(args.h, params)
     spec = correlation.correlation_spectrum(a, b)
+    # a predictor outside its hypotheses (q < p) gives a null prediction; the
+    # range runs first, as it is the one that rejects g == h
+    try:
+        window = list(correlation.predicted_cross_range(args.g, args.h, params))
+    except correlation.UnsupportedParameters:
+        window = None
     try:
         predicted = correlation.predicted_distribution(
             correlation.reduced_generator(args.g, args.h, params.p), params
         )
-    except (correlation.UnsupportedParameters, ValueError):
+    except correlation.UnsupportedParameters:
         predicted = None
     payload = {
-        "range_predicted": list(correlation.predicted_cross_range(args.g, args.h, params)),
+        "range_predicted": window,
         "histogram_bruteforce": {str(j): n for j, n in spec.histogram.items()},
         "histogram_predicted": None
         if predicted is None
@@ -331,6 +337,16 @@ def _cmd_session(args) -> int:
         missing = [g for g in gens if g not in payloads]
         if missing:
             raise ValueError(f"payload file lacks symbols for users {missing}")
+        spec = erasure.CodeSpec.for_protocol(args.p, args.k)
+        for g in gens:
+            symbols = payloads[g]
+            if symbols.size != spec.dim:
+                raise ValueError(f"payload file {args.payload}: generator {g} has "
+                                 f"{symbols.size} symbols, expected {spec.dim}")
+            bad = symbols[symbols >= spec.field_order]
+            if bad.size:
+                raise ValueError(f"payload file {args.payload}: generator {g}: symbol "
+                                 f"{bad[0]} outside GF({spec.field_order})")
     report = erasure.session_roundtrip(args.p, args.k, gens, offs, payloads, seed=args.seed)
     payload = {
         "p": args.p,

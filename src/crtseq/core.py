@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -23,19 +22,12 @@ __all__ = [
     "Variant",
     "CrtParams",
     "GridPoint",
-    "CharacteristicSet",
     "BinarySequence",
     "crt_map",
     "crt_inverse",
-    "characteristic_set",
     "generate_sequence",
-    "multi_rate_characteristic_set",
-    "points_to_sequence",
     "sequence_to_array",
-    "array_to_sequence",
-    "SequenceRecord",
-    "write_sequence_file",
-    "read_sequence_file",
+    "format_sequence_entry",
     "is_prime",
 ]
 
@@ -141,52 +133,6 @@ def crt_inverse(pt: GridPoint, params: CrtParams) -> int | np.ndarray:
     return x if np.ndim(x) else int(x)
 
 
-@dataclass(frozen=True)
-class CharacteristicSet:
-    """Support of a protocol sequence as grid points, one per column.
-
-    The points form an arithmetic progression with common difference
-    (generator, 1), i.e. {(generator*t mod p, t) : 0 <= t < q}.
-    """
-
-    params: CrtParams
-    generator: int
-    points: frozenset[GridPoint]
-
-    def __post_init__(self) -> None:
-        if len(self.points) != self.params.q:
-            raise ValueError("characteristic set must contain exactly q points")
-
-
-def _check_generator(g: int, params: CrtParams) -> None:
-    if not 0 <= g < params.p:
-        raise ValueError(f"generator {g} outside 0..{params.p - 1}")
-
-
-def characteristic_set(g: int, params: CrtParams) -> CharacteristicSet:
-    """Grid support generated by g: one point in every column."""
-    _check_generator(g, params)
-    pts = frozenset(GridPoint((g * t) % params.p, t) for t in range(params.q))
-    return CharacteristicSet(params, g, pts)
-
-
-def multi_rate_characteristic_set(g: int, k: int, params: CrtParams) -> frozenset[GridPoint]:
-    """Union of k row-shifted copies of the support generated by g.
-
-    Row shifts 0..k-1 are applied, so the resulting schedule has k*q ones
-    and duty factor exactly k/p.  k must stay below p, otherwise the
-    shifted copies would wrap onto each other.
-    """
-    if not 1 <= k < params.p:
-        raise ValueError(f"rate multiplier k={k} must satisfy 1 <= k < p={params.p}")
-    base = characteristic_set(g, params).points
-    out: set[GridPoint] = set()
-    for j in range(k):
-        out.update(GridPoint((pt.row + j) % params.p, pt.col) for pt in base)
-    assert len(out) == k * params.q  # translates are disjoint for k < p
-    return frozenset(out)
-
-
 _BIT_CHARS = np.frombuffer(b"01", dtype=np.uint8)  # ASCII byte of each bit
 
 
@@ -195,8 +141,7 @@ class BinarySequence:
     """A period-L zero-one schedule.
 
     Bits are held as a read-only uint8 array.  ``support()`` returns the
-    sorted one-positions; ``shifted(tau)`` is the cyclic delay by tau,
-    i.e. the sequence t -> s(t - tau).
+    sorted one-positions.
     """
 
     bits: np.ndarray
@@ -210,10 +155,6 @@ class BinarySequence:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
-
-    @classmethod
-    def from_string(cls, text: str) -> "BinarySequence":
-        return cls(np.frombuffer(text.strip().encode(), dtype=np.uint8) - ord("0"))
 
     @classmethod
     def from_support(cls, support: Iterable[int], length: int) -> "BinarySequence":
@@ -251,25 +192,14 @@ class BinarySequence:
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
 
-    def shifted(self, tau: int) -> "BinarySequence":
-        return BinarySequence(np.roll(self.bits, tau % len(self)))
-
 
 def generate_sequence(g: int, params: CrtParams) -> BinarySequence:
     """Protocol sequence of generator g: bit t is one iff the residue pair
     of t lies in the characteristic set {(g*c mod p, c)}.  Weight is always q."""
-    _check_generator(g, params)
+    if not 0 <= g < params.p:
+        raise ValueError(f"generator {g} outside 0..{params.p - 1}")
     cols = np.arange(params.q)
     support = crt_inverse(GridPoint((g * cols) % params.p, cols), params)
-    return BinarySequence.from_support(support, params.L)
-
-
-def points_to_sequence(points: Iterable[GridPoint], params: CrtParams) -> BinarySequence:
-    """Schedule whose ones sit at the preimages of the given grid points."""
-    pts = np.array(list(points), dtype=np.int64).reshape(-1, 2)
-    support = crt_inverse(GridPoint(pts[:, 0], pts[:, 1]), params)
-    if np.unique(support).size != support.size:
-        raise ValueError("grid points are not distinct")
     return BinarySequence.from_support(support, params.L)
 
 
@@ -283,63 +213,8 @@ def sequence_to_array(seq: BinarySequence, params: CrtParams) -> np.ndarray:
     return arr
 
 
-def array_to_sequence(arr: np.ndarray, params: CrtParams) -> BinarySequence:
-    """Inverse of ``sequence_to_array``; exact round trip."""
-    arr = np.asarray(arr)
-    if arr.shape != (params.p, params.q):
-        raise ValueError(f"array shape {arr.shape} != ({params.p}, {params.q})")
-    rows, cols = crt_map(np.arange(params.L), params)
-    return BinarySequence(arr[rows, cols])
-
-
-# --- sequence file format: one '# p=.. q=.. variant=.. g=..' header line
-#     followed by one ASCII 0/1 line per sequence ---
-
-_HEADER_RE = re.compile(r"^#\s*p=(\d+)\s+q=(\d+)\s+variant=(std|mod)\s+g=(\d+)\s*$")
-
-
-class SequenceRecord(NamedTuple):
-    params: CrtParams
-    generator: int
-    sequence: BinarySequence
-
-
 def format_sequence_entry(params: CrtParams, g: int, seq: BinarySequence) -> str:
+    """One entry of the sequence file format: a '# p=.. q=.. variant=.. g=..'
+    header line, then the sequence as one ASCII 0/1 line."""
     header = f"# p={params.p} q={params.q} variant={params.variant.value} g={g}"
     return f"{header}\n{seq}\n"
-
-
-def write_sequence_file(path, records: Iterable[SequenceRecord]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(format_sequence_entry(rec.params, rec.generator, rec.sequence))
-
-
-def read_sequence_file(path) -> list[SequenceRecord]:
-    records = []
-    header = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            m = _HEADER_RE.match(line)
-            if m:
-                if header is not None:
-                    raise ValueError(f"line {lineno}: header without sequence line")
-                p, q, variant, g = int(m[1]), int(m[2]), m[3], int(m[4])
-                if g >= p:
-                    raise ValueError(f"line {lineno}: generator g={g} outside 0..{p - 1}")
-                header = (CrtParams(p, q, Variant.parse(variant)), g)
-            else:
-                if header is None:
-                    raise ValueError(f"line {lineno}: sequence line without header")
-                params, g = header
-                seq = BinarySequence.from_string(line)
-                if len(seq) != params.L:
-                    raise ValueError(f"line {lineno}: expected {params.L} bits, got {len(seq)}")
-                records.append(SequenceRecord(params, g, seq))
-                header = None
-    if header is not None:
-        raise ValueError("trailing header without sequence line")
-    return records

@@ -18,13 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BinarySequence, CrtParams, GridPoint, crt_map, generate_sequence
+from .core import BinarySequence, CrtParams, crt_map, generate_sequence
 
 __all__ = [
     "CorrelationSpectrum",
     "CrossParams",
-    "hamming_correlation",
-    "two_d_correlation",
+    "UnsupportedParameters",
     "correlation_spectrum",
     "cross_params",
     "predicted_cross_range",
@@ -44,27 +43,6 @@ _CHUNK = 1 << 16
 
 class UnsupportedParameters(ValueError):
     """Raised when a closed-form predictor is asked outside its hypotheses."""
-
-
-def hamming_correlation(a: BinarySequence, b: BinarySequence, tau: int) -> int:
-    """Number of slots where a(t) and b(t - tau) are both one (cyclic)."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return int(np.dot(a.bits, np.roll(b.bits, tau % len(b))))
-
-
-def two_d_correlation(a: np.ndarray, b: np.ndarray, shift: GridPoint | tuple[int, int]) -> int:
-    """Overlap count of two arrays with b translated by (row, col) cyclically.
-
-    Compatible with the one-dimensional correlation: translating by the
-    residue pair of tau gives the same count as shifting the sequence by tau.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    r, c = int(shift[0]), int(shift[1])
-    return int(np.sum(a * np.roll(b, (r, c), axis=(0, 1))))
 
 
 @dataclass(frozen=True)

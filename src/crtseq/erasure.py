@@ -77,19 +77,6 @@ class GF:
         exp[order - 1 :] = exp[: order - 1]
         self._exp, self._log = exp, log
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return int(self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def lagrange_logs(self, pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Logarithms of the Lagrange weights W[r, i]: the value at xs[r] of
         the basis polynomial that is 1 at pts[i] and 0 at the other points.

@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtseq.core import CrtParams, Variant, generate_sequence
-from crtseq.correlation import hamming_correlation
+from crtseq.core import BinarySequence, CrtParams, Variant, generate_sequence
 from crtseq.channel import (
     _SuccessCounter,
     ActivitySignal,
     Scenario,
     ThroughputReport,
     UserSpec,
-    adversarial_min_throughput,
     channel_activity,
     construction_params,
     exhaustive_pair_throughput,
@@ -25,10 +23,10 @@ from crtseq.channel import (
     optimal_user_count,
     peak_throughput_bound,
     scenario_from_json,
-    scenario_to_json,
     simulate,
     throughput_lower_bound,
 )
+from oracles import activity_from_string, hamming_correlation, scenario_to_json
 
 P35 = CrtParams(3, 5)
 
@@ -36,6 +34,11 @@ P35 = CrtParams(3, 5)
 def perm_scenario(params, spec, duration):
     users = tuple(UserSpec(uid, g, off) for uid, g, off in spec)
     return Scenario(params, users, duration)
+
+
+def delayed(seq, tau):
+    """The schedule t -> seq(t - tau): the sequence delayed by tau slots."""
+    return BinarySequence(np.roll(seq.bits, tau))
 
 
 def oracle_senders(scenario):
@@ -117,7 +120,7 @@ def scenarios(draw):
 
 class TestActivitySignal:
     def test_string_round_trip(self):
-        sig = ActivitySignal.from_string("01*10")
+        sig = activity_from_string("01*10")
         assert str(sig) == "01*10"
         assert [sig[i] for i in range(5)] == [0, 1, 2, 1, 0]
 
@@ -132,14 +135,14 @@ class TestActivitySignal:
             ActivitySignal(np.ones((2, 3), dtype=np.int8))
         assert ActivitySignal(np.array([True, False])) == ActivitySignal([1, 0])
         with pytest.raises(ValueError, match="'x' at position 2"):
-            ActivitySignal.from_string("01x*")
+            activity_from_string("01x*")
         # positions count characters of the stripped text, not encoded bytes
         with pytest.raises(ValueError, match="'é' at position 3"):
-            ActivitySignal.from_string("\n 01*é1 ")
+            activity_from_string("\n 01*é1 ")
         with pytest.raises(ValueError, match="'★' at position 1"):
-            ActivitySignal.from_string("0★x")
+            activity_from_string("0★x")
         with pytest.raises(ValueError, match=re.escape("'\\udc80' at position 2")):
-            ActivitySignal.from_string("01\udc80")  # a lone surrogate has no encoding
+            activity_from_string("01\udc80")  # a lone surrogate has no encoding
 
     def test_leaves_callers_array_writable(self):
         codes = np.array([0, 1, 2], dtype=np.int8)
@@ -152,7 +155,7 @@ class TestActivitySignal:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 100_000))
     def test_long_string_round_trip(self, seed, length):
         text = "".join(np.random.default_rng(seed).choice(list("01*"), size=length))
-        assert str(ActivitySignal.from_string(text)) == text
+        assert str(activity_from_string(text)) == text
 
 
 class TestScenarioValidation:
@@ -223,7 +226,7 @@ class TestSimulate:
         for off in (0, 11, 40):
             sc = perm_scenario(params, [(1, 1, 0), (3, 3, off)], params.L)
             trace = simulate(sc)
-            overlap = hamming_correlation(s1, s3.shifted(off), 0)
+            overlap = hamming_correlation(s1, delayed(s3, off), 0)
             assert trace.succeeded[1] == 9 - overlap
             assert trace.succeeded[3] == 9 - overlap
 
@@ -235,7 +238,7 @@ class TestSimulate:
         trace = simulate(sc)
         for g in offs:
             lost_at_most = sum(
-                hamming_correlation(seqs[g].shifted(offs[g]), seqs[h].shifted(offs[h]), 0)
+                hamming_correlation(delayed(seqs[g], offs[g]), delayed(seqs[h], offs[h]), 0)
                 for h in offs
                 if h != g
             )
@@ -350,14 +353,6 @@ class TestThroughputExperiments:
         assert rep.minimum == pytest.approx(12 / 45)
         assert rep.minimum >= float(peak_throughput_bound(5, 2))
 
-    def test_adversarial_search_respects_bound(self):
-        found = adversarial_min_throughput(5, 2, (1, 2, 3), restarts=10, seed=3)
-        assert found >= float(throughput_lower_bound(5, 2, 3))
-
-    def test_adversarial_search_respects_bound_four_users(self):
-        found = adversarial_min_throughput(7, 3, (1, 2, 4, 6), restarts=8, seed=11)
-        assert found >= float(throughput_lower_bound(7, 3, 4))
-
     @pytest.mark.parametrize(
         "m_users, trials, named",
         [(0, 10, "m_users=0"), (-1, 10, "m_users=-1"), (2, 0, "trials=0"), (2, -5, "trials=-5")],
@@ -365,17 +360,6 @@ class TestThroughputExperiments:
     def test_monte_carlo_rejects_degenerate_input(self, m_users, trials, named):
         with pytest.raises(ValueError, match=named):
             monte_carlo_throughput(5, 2, m_users, trials=trials, seed=0)
-
-    def test_adversarial_search_rejects_degenerate_input(self):
-        with pytest.raises(ValueError, match="generator"):
-            adversarial_min_throughput(5, 2, ())
-        with pytest.raises(ValueError, match="restarts=0"):
-            adversarial_min_throughput(5, 2, (1, 2), restarts=0)
-
-    def test_adversarial_search_results_are_pinned(self):
-        # the greedy path's exact results: 13 and 40 successes per period
-        assert adversarial_min_throughput(5, 2, (1, 2, 3), restarts=10, seed=3) == 13 / 45
-        assert adversarial_min_throughput(7, 3, (1, 2, 4, 6), restarts=8, seed=11) == 40 / 140
 
 
 def oracle_success_counts(offsets, generators, params):
@@ -531,8 +515,6 @@ def test_exhaustive_three_user_worst_case_meets_bound(p, k):
     for gens in combinations(range(p), 3):
         worst = int(three_user_counts(p, k, gens).min())
         assert Fraction(worst, L) >= bound, gens
-        found = adversarial_min_throughput(p, k, gens, restarts=4, seed=sum(gens))
-        assert found >= worst / L, gens  # both count / L, so the order is exact
 
 
 class TestScenarioJson:

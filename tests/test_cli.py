@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from crtseq import channel, cli
 from crtseq.cli import main
-from crtseq.core import CrtParams, read_sequence_file
+from crtseq.core import CrtParams, generate_sequence
+from crtseq.correlation import correlation_spectrum
+from oracles import read_sequence_file
 from test_channel import oracle_senders, outcome, scenarios
 
 FAILURE_SCENARIO = {
@@ -75,8 +77,8 @@ class TestGenerate:
         out = tmp_path / "seqs.txt"
         assert main(["generate", "--p", "3", "--q", "5", "--all", "--out", str(out)]) == 0
         records = read_sequence_file(out)
-        assert [r.generator for r in records] == [0, 1, 2]
-        assert str(records[1].sequence) == "111110000000000"
+        assert [g for _, g, _ in records] == [0, 1, 2]
+        assert str(records[1][2]) == "111110000000000"
 
     def test_composite_p_is_usage_error(self, capsys):
         assert main(["generate", "--p", "4", "--q", "5", "--g", "1"]) == 2
@@ -100,6 +102,16 @@ class TestCorrelate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["range_predicted"] == [1, 2]
         assert payload["histogram_bruteforce"] == {"1": 5, "2": 10}
+
+    def test_q_below_p_has_no_window(self, capsys):
+        # q < p: the three-value window and the distribution are undefined
+        assert main(["correlate", "--p", "5", "--q", "3", "--g", "2", "--h", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["range_predicted"] is None
+        assert payload["histogram_predicted"] is None
+        params = CrtParams(5, 3)
+        spec = correlation_spectrum(generate_sequence(2, params), generate_sequence(3, params))
+        assert payload["histogram_bruteforce"] == {str(j): n for j, n in spec.histogram.items()}
 
 
 class TestSimulate:
@@ -582,6 +594,9 @@ def test_json_string_scenario_is_not_decoded_twice(tmp_path, capsys, command):
         ({"1": list(range(14)), "2": [1.5] * 14}, "generator 2"),
         ({"1": list(range(14)), "2": [2**70] * 14}, "generator 2"),
         ({"1": [[1, 2]] * 7, "2": [5] * 14}, "generator 1"),
+        ({"1": [0] * 3, "2": [5] * 14}, "payload.json: generator 1 has 3 symbols, expected 14"),
+        ({"1": list(range(14)), "2": [5] * 13 + [99]},
+         "payload.json: generator 2: symbol 99 outside GF(32)"),
     ],
 )
 def test_malformed_payload_is_usage_error(tmp_path, capsys, payload, named):

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from crtseq import correlation
 from crtseq.baselines import extended_prime_sequences, prime_sequences
-from crtseq.core import BinarySequence, CrtParams, Variant, generate_sequence, sequence_to_array
+from crtseq.core import (
+    BinarySequence,
+    CrtParams,
+    GridPoint,
+    Variant,
+    generate_sequence,
+    sequence_to_array,
+)
 from crtseq.correlation import (
     UnsupportedParameters,
     correlation_spectrum,
@@ -18,11 +25,16 @@ from crtseq.correlation import (
     cross_params,
     crt_epsilon,
     epsilon_uniformity,
-    hamming_correlation,
     pairwise_epsilon,
     predicted_autocorrelation,
     predicted_cross_range,
     predicted_distribution,
+)
+from oracles import (
+    characteristic_set,
+    hamming_correlation,
+    points_to_sequence,
+    sequence_from_string,
     two_d_correlation,
 )
 
@@ -308,7 +320,7 @@ class TestEpsilonUniformity:
 
     def test_constant_correlation_pair_is_zero_uniform(self):
         a = BinarySequence(np.ones(6, dtype=np.uint8))
-        b = BinarySequence.from_string("101010")
+        b = sequence_from_string("101010")
         assert epsilon_uniformity([a, b]) == 0
 
     def test_rejects_zero_weight(self):
@@ -332,8 +344,6 @@ class TestEpsilonUniformity:
         # checked empirically on small instances; equality is not asserted
         # because it does not hold in general (e.g. p=5, q=9, k=2 improves
         # from 2/3 to 4/9)
-        from crtseq.core import multi_rate_characteristic_set, points_to_sequence
-
         cases = {
             (5, 9, 2): (Fraction(2, 3), Fraction(4, 9)),
             (5, 11, 2): (Fraction(6, 11), Fraction(4, 11)),
@@ -342,8 +352,13 @@ class TestEpsilonUniformity:
         for (p, q, k), (eps_base, eps_ext) in cases.items():
             params = CrtParams(p, q)
             base = [generate_sequence(g, params) for g in range(p)]
+            # k row translates of each characteristic set: k*q ones, duty k/p
             ext = [
-                points_to_sequence(multi_rate_characteristic_set(g, k, params), params)
+                points_to_sequence(
+                    {GridPoint((r + j) % p, c) for r, c in characteristic_set(g, params)
+                     for j in range(k)},
+                    params,
+                )
                 for g in range(p)
             ]
             assert epsilon_uniformity(base) == eps_base

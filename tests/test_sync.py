@@ -10,7 +10,6 @@ from crtseq.core import (
     BinarySequence,
     GridPoint,
     Variant,
-    characteristic_set,
     crt_map,
     generate_sequence,
 )
@@ -26,6 +25,7 @@ from crtseq.sync import (
     sync_guarantee,
     uncovered_ones,
 )
+from oracles import characteristic_set
 
 M78 = CrtParams(7, 8, Variant.MODIFIED)
 M551 = CrtParams(5, 51, Variant.MODIFIED)
@@ -433,7 +433,7 @@ class TestSlotMatrix:
 
 @functools.lru_cache(maxsize=None)
 def _char_points(g, params):
-    return characteristic_set(g, params).points
+    return characteristic_set(g, params)
 
 
 @functools.lru_cache(maxsize=None)
