@@ -55,13 +55,7 @@ def check_codes(codes: np.ndarray) -> None:
     whose entries are all activity codes (0, 1 or 2)."""
     if codes.size == 0:
         return
-    if codes.dtype.kind not in "biu":
-        valid = False
-    elif codes.ndim == 0:  # one symbol: a Python comparison is cheapest
-        valid = 0 <= codes.item() <= 2
-    else:
-        valid = 0 <= codes.min() and codes.max() <= 2
-    if not valid:
+    if codes.dtype.kind not in "biu" or not (0 <= codes.min() and codes.max() <= 2):
         raise ValueError("activity codes must be 0, 1 or 2")
 
 
@@ -452,14 +446,25 @@ def _json_sessions(spans: list, where: str) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a, b in spans)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` of the JSON loaders: the decoded object, or
+    ValueError naming a key that it repeats, where ``json`` keeps the last."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def scenario_from_json(obj: dict | str) -> Scenario:
     """Build a scenario from the JSON schema
     {p, q, variant, duration, seed, users:[{id, g, offset|null, sessions|null}]}.
 
-    A missing or mistyped field raises ValueError naming it.
+    A missing, mistyped or repeated field raises ValueError naming it.
     """
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = json.loads(obj, object_pairs_hook=_unique_keys)
     variant = _json_field(obj, "variant", "", str, required=False)
     params = CrtParams(
         _json_field(obj, "p", "", int),

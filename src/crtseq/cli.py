@@ -117,30 +117,32 @@ _CSV_BLOCK_SLOTS = 1 << 14
 # what follows a row's slot, by min(sender count, 2), NUL-padded to one width
 _OUTCOME_WORDS = np.array([b",idle,\n", b",success,", b",collision,"], dtype="S11").view("V11")
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
-_MINUS, _PLUS, _NEWLINE = b"-+\n"
+_PLUS, _NEWLINE = b"+\n"
 
 
 def _trace_csv_blocks(trace: channel.ChannelTrace) -> Iterator[bytes]:
     """trace.csv bytes in blocks of ``_CSV_BLOCK_SLOTS`` slots."""
     yield b"slot,outcome,sender\n"
+    # every sender's decimal name, NUL-padded, at the rank of its id
+    ids = np.array(sorted(trace.sent), dtype=np.int64)
+    names = np.array([b"%d" % u for u in ids.tolist()], dtype=bytes)
     for lo in range(0, trace.duration, _CSV_BLOCK_SLOTS):
-        yield _trace_csv_block(trace, lo, min(lo + _CSV_BLOCK_SLOTS, trace.duration))
+        yield _trace_csv_block(trace, ids, names, lo, min(lo + _CSV_BLOCK_SLOTS, trace.duration))
 
 
-def _trace_csv_block(trace: channel.ChannelTrace, lo: int, hi: int) -> bytes:
+def _trace_csv_block(trace: channel.ChannelTrace, ids: np.ndarray, names: np.ndarray,
+                     lo: int, hi: int) -> bytes:
     """Rows lo..hi-1 of trace.csv.  Each row head (slot digits and outcome
-    word) and each transmission (sender digits, then '+' or a newline) is
+    word) and each transmission (sender name, then '+' or a newline) is
     one fixed-width NUL-padded byte record; the records are interleaved in
     file order and the NULs dropped."""
     n = trace.n_senders[lo:hi]
     first, last = np.searchsorted(trace.transmission_slot, [lo, hi])
     row = trace.transmission_slot[first:last] - lo
     sender = trace.transmission_sender[first:last]
-    # the magnitude as uint64 is right for -2**63 too, whose negation wraps
-    magnitude = np.where(sender < 0, np.negative(sender), sender).view(np.uint64)
     slot_digits = len(str(hi - 1))
-    sender_digits = len(str(magnitude.max(initial=0)))
-    record = np.dtype(f"V{max(slot_digits + 11, sender_digits + 2)}")
+    width = names.itemsize
+    record = np.dtype(f"V{max(slot_digits + 11, width + 1)}")
 
     head = np.zeros(n.size, dtype=record)
     words = np.dtype({"names": ["w"], "formats": ["V11"], "offsets": [slot_digits],
@@ -161,14 +163,9 @@ def _trace_csv_block(trace: channel.ChannelTrace, lo: int, hi: int) -> bytes:
         head_bytes[:, slot_digits - 1 - i] = digit
 
     tx = np.zeros((sender.size, record.itemsize), dtype=np.uint8)
-    tx[sender < 0, 0] = _MINUS
-    rest = magnitude
-    for i in range(sender_digits):
-        present = rest > 0 if i else True  # digit i of 0 is a leading zero for i > 0
-        rest, digit = np.divmod(rest, np.uint64(10))
-        tx[:, sender_digits - i] = np.where(present, _DIGITS[digit], 0)
-    tx[:, sender_digits + 1] = _PLUS
-    tx[np.diff(row, append=n.size) != 0, sender_digits + 1] = _NEWLINE  # a row's last sender
+    tx[:, :width] = names[np.searchsorted(ids, sender)].view(np.uint8).reshape(-1, width)
+    tx[:, width] = _PLUS
+    tx[np.diff(row, append=n.size) != 0, width] = _NEWLINE  # a row's last sender
 
     # row r's head follows the heads and transmissions of rows 0..r-1, and
     # transmission j of row r follows r + 1 heads and j earlier transmissions
@@ -300,8 +297,8 @@ def _load_payloads(path: str) -> dict[int, np.ndarray]:
     {"<generator>": [symbol, ...], ...}; a malformed file raises ValueError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except _DECODE_ERRORS as exc:
+            raw = json.load(fh, object_pairs_hook=channel._unique_keys)
+    except ValueError as exc:  # not UTF-8 JSON, or a repeated key
         raise ValueError(f"payload file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"payload file must be a JSON object, got {raw!r:.60}")
@@ -311,6 +308,8 @@ def _load_payloads(path: str) -> dict[int, np.ndarray]:
             g = int(key)
         except ValueError:
             raise ValueError(f"payload key {key!r} is not a generator number") from None
+        if g in payloads:
+            raise ValueError(f"payload file {path}: key {key!r} names generator {g} again")
         if not isinstance(symbols, list) or not all(
             type(x) is int and 0 <= x < 2**63 for x in symbols
         ):

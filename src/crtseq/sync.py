@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +105,11 @@ class ActivityDetector:
         self.start: dict[int, int | None] = dict.fromkeys(self.user_ids, None)
         # state of the one-symbol path: the idle users, the earliest next
         # start of an active user, each sequence's ones as the bits of one
-        # int (built at the first one-symbol decision), and while some user
-        # is idle the busy flags of the last decided window as one int
+        # int, and while some user is idle the busy flags of the last
+        # decided window as one int
         self._idle = list(range(len(self.user_ids)))
         self._wake = math.inf
-        self._masks: list[int] | None = None
+        self._masks = [_as_int(np.bincount(offs, minlength=self._L) > 0) for offs in self._offsets]
         self._w: int | None = None
         self._top = 1 << (self._L - 1)
 
@@ -139,10 +138,7 @@ class ActivityDetector:
             buf = self._buf if size == self._buf.size else np.empty(size, dtype=bool)
             buf[:live] = self._buf[self._lo : self._hi]
             self._buf, self._view, self._lo, self._hi = buf, memoryview(buf), 0, live
-        if codes.ndim == 0:
-            self._buf[self._hi] = codes.item() != IDLE
-        else:
-            np.not_equal(codes, IDLE, out=self._buf[self._hi : self._hi + m])
+        np.not_equal(codes, IDLE, out=self._buf[self._hi : self._hi + m])
         self._hi += m
         self._now += m
 
@@ -174,6 +170,8 @@ class ActivityDetector:
         active user is re-examined at each whole period after its start and
         deactivated at the first one that fails to match.
         """
+        if not isinstance(symbols, int) and isinstance(symbols, (np.integer, np.bool_)):
+            symbols = int(symbols)  # a numpy integer or bool takes the one-symbol path too
         if isinstance(symbols, int) and 0 <= symbols <= 2 and self._hi < self._buf.size:
             busy = symbols != IDLE
             self._view[self._hi] = busy
@@ -220,13 +218,6 @@ class ActivityDetector:
         if w is None:
             w = _as_int(self._buf[lo : lo + L])
         masks = self._masks
-        if masks is None:
-            masks = self._masks = []
-            flags = np.zeros(L, dtype=bool)
-            for offs in self._offsets:
-                flags[offs] = True
-                masks.append(_as_int(flags))
-                flags[offs] = False
         flips = [k for k in self._idle if w & masks[k] == masks[k]]
         if t >= self._wake:
             nxt = self._next
@@ -245,39 +236,29 @@ class ActivityDetector:
         return [ev for _, _, ev in events]
 
     def _decide(self, n: int) -> list:
-        """Decide the n oldest undecided starts for every user."""
+        """Decide the n oldest undecided starts for every user.  An active
+        user reads its match row at each whole period of its start; an idle
+        one skips to its row's next match by argmax, which stops at the
+        first True, so the scans of one row cover the chunk once in total."""
         L, lo = self._L, self._lo
         matched = self._matched(self._buf[lo : self._hi], n)
         self._lo = lo + n
         base = self._now - (self._hi - lo)  # slot of the oldest undecided start
-        end = base + n
-
-        # The matches, flattened to x = k*n + j (user k, start j), form runs.
-        # Each change x (flags[x] != flags[x-1]) is listed as x - 1, so one
-        # bisect counts the changes at or before a start: the start matches
-        # when that count plus flags[0] is odd, and otherwise its user's next
-        # match, if any, is at the next change.  A busy channel matches at
-        # long runs of starts, which this list keeps to two entries each.
-        flags = matched.ravel()
-        lead = flags.item(0)
-        changes = (flags[1:] != flags[:-1]).nonzero()[0].tolist()
         events: list = []
-        for k, u in enumerate(self.user_ids):
-            t0 = max(self._next[k], base)  # an idle user's may be stale
-            row = k * n - base  # row + t0 is the flat position of start t0
-            while t0 < end:
-                at = bisect_left(changes, row + t0)
+        for k, (u, row) in enumerate(zip(self.user_ids, matched)):
+            j = max(self._next[k] - base, 0)  # an idle user's may be stale
+            while j < n:
                 if self.active[u]:
-                    if (at + lead) % 2:
-                        t0 += L
+                    if row[j]:
+                        j += L
                         continue
-                elif not (at + lead) % 2:
-                    if at == len(changes) or changes[at] + 1 >= row + end:
-                        t0 = end
+                else:
+                    j += int(row[j:].argmax())
+                    if not row[j]:  # no match left in the chunk
+                        j = n
                         break
-                    t0 = changes[at] + 1 - row
-                t0 = self._flip(k, t0, events)
-            self._next[k] = t0
+                j = self._flip(k, base + j, events) - base
+            self._next[k] = base + j
         events.sort(key=lambda item: item[:2])
         return events
 

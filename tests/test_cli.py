@@ -173,8 +173,10 @@ class TestSimulate:
         users = tuple(channel.UserSpec(uid, g, 0 if g < 4 else None) for g, uid in enumerate(ids))
         users += (channel.UserSpec(-7, 6, None, ((0, 50), (400, 1005))),)
         scenario = channel.Scenario(CrtParams(7, 3), users, duration=1010, seed=3)
+        trace = channel.simulate(scenario)
+        trace.sent = dict(reversed(trace.sent.items()))  # the writer orders the ids itself
         with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
-            text = b"".join(cli._trace_csv_blocks(channel.simulate(scenario))).decode()
+            text = b"".join(cli._trace_csv_blocks(trace)).decode()
         assert text.startswith(
             "slot,outcome,sender\n0,collision,-9223372036854775808+-10+-7+-1+0+9223372036854775807\n"
         )
@@ -556,6 +558,13 @@ MALFORMED_SCENARIOS = [
      "user 6: session end 18446744073709551616 outside the int64 range"),
     (_edited(2**63, "duration"), "duration 9223372036854775808 outside the int64 range"),
     (_edited(-3, "seed"), "scenario field 'seed' must be non-negative, got -3"),
+    # a repeated key, which json.loads would drop silently (JSON text: a
+    # dict cannot hold it)
+    pytest.param(json.dumps(FAILURE_SCENARIO).replace('"duration": 58', '"duration": 58, '
+                                                      '"duration": 3000'),
+                 "repeated JSON key 'duration'", id="repeated-duration"),
+    pytest.param(json.dumps(FAILURE_SCENARIO).replace('"g": 1,', '"g": 1, "g": 5,'),
+                 "repeated JSON key 'g'", id="repeated-g"),
 ]
 
 
@@ -563,7 +572,7 @@ MALFORMED_SCENARIOS = [
 @pytest.mark.parametrize(("scenario", "named"), MALFORMED_SCENARIOS)
 def test_malformed_scenario_is_usage_error(tmp_path, capsys, command, scenario, named):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))
+    path.write_text(scenario if isinstance(scenario, str) else json.dumps(scenario))
     out_flag = "--out" if command == "simulate" else "--emit"
     code = main([command, "--scenario", str(path), out_flag, str(tmp_path / "out.csv")])
     err = capsys.readouterr().err
@@ -597,11 +606,18 @@ def test_json_string_scenario_is_not_decoded_twice(tmp_path, capsys, command):
         ({"1": [0] * 3, "2": [5] * 14}, "payload.json: generator 1 has 3 symbols, expected 14"),
         ({"1": list(range(14)), "2": [5] * 13 + [99]},
          "payload.json: generator 2: symbol 99 outside GF(32)"),
+        # an entry that a later one would hide, its symbols outside GF(32):
+        # under the same key (JSON text: a dict cannot hold it), or under a
+        # key naming the same generator
+        pytest.param(f'{{"1": {[99] * 14}, "2": {[5] * 14}, "1": {list(range(14))}}}',
+                     "payload.json: repeated JSON key '1'", id="repeated-key"),
+        pytest.param({"1": [99] * 14, "2": [5] * 14, "01": list(range(14))},
+                     "payload.json: key '01' names generator 1 again", id="repeated-generator"),
     ],
 )
 def test_malformed_payload_is_usage_error(tmp_path, capsys, payload, named):
     path = tmp_path / "payload.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code = main(["session", "--p", "5", "--k", "5", "--users", "1,2",
                  "--offsets", "0,9", "--payload", str(path)])
     err = capsys.readouterr().err

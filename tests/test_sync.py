@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -320,6 +321,23 @@ class TestDetector:
         assert events == run_detector(sig, M551)
         assert Deactivated(2, 10 + L) in events
 
+    @pytest.mark.parametrize("one", [np.int8, np.uint8, np.bool_], ids=["int8", "uint8", "bool_"])
+    def test_numpy_scalars_take_the_one_symbol_path(self, monkeypatch, one):
+        # fewer than 2L pushes never fill the busy-flag buffer, so no push
+        # may reach the chunk kernel
+        L = M551.L
+        users = (UserSpec(2, 2, None, ((10, 10 + L),)), UserSpec(4, 4, 100))
+        sig = channel_activity(simulate(Scenario(M551, users, 2 * L - 1)))
+        expected = run_detector(sig, M551)
+        assert expected == [Activated(2, 10), Activated(4, 100)]
+
+        def no_kernel(*args):
+            raise AssertionError("a one-symbol push reached the chunk kernel")
+
+        monkeypatch.setattr(ActivityDetector, "_matched", no_kernel)
+        det = ActivityDetector(M551)
+        assert [ev for c in sig.codes.tolist() for ev in det.push(one(c))] == expected
+
     @pytest.mark.parametrize(
         "symbols",
         [7, -1, 3, np.int8(3), np.array(-1), np.full(15, 7), np.array([0, 1, 3]),
@@ -363,6 +381,43 @@ class TestDetector:
             assert sorted(events, key=lambda e: e.user) == sorted(
                 expected, key=lambda e: e.user
             )
+
+    # thousands of flips per user in one long chunk: idle every 706th slot
+    # (one slot short of L = 707), every 708th, and i.i.d. at 1/200; event
+    # counts and sha256 of the event list's repr recorded from the change-list
+    # walk that the per-user row walk replaced
+    NOISY = {
+        "every-706": (1178, "de2f3f7587cd0aacbcc067b06d54dd96752ce4f88a68f40fdaafd8e391d8b053"),
+        "every-708": (8466, "30a404ed2ac12daecf9ca4fd61d13e535e8b2d50996e2647bb1932e7964ff41d"),
+        "iid-1/200": (3470, "505db6cf80238617130e7b423bf40b246030747dfac77d4f42d2362b5080c8ec"),
+    }
+
+    @staticmethod
+    def noisy_signal(kind, n):
+        if kind == "iid-1/200":
+            idle = np.random.default_rng(1).random(n) < 1 / 200
+        else:
+            idle = np.arange(n) % int(kind.removeprefix("every-")) == 0
+        return np.where(idle, IDLE, 1).astype(np.int8)
+
+    @pytest.mark.parametrize("kind", NOISY)
+    def test_long_noisy_chunk_is_pinned(self, kind):
+        params = CrtParams(7, 101, Variant.MODIFIED)
+        events = run_detector(self.noisy_signal(kind, 500_000), params)
+        digest = hashlib.sha256(repr(events).encode()).hexdigest()
+        assert (len(events), digest) == self.NOISY[kind]
+
+    @pytest.mark.parametrize("kind", NOISY)
+    def test_noisy_signal_chunkings_agree(self, kind):
+        params = CrtParams(7, 101, Variant.MODIFIED)
+        codes = self.noisy_signal(kind, 20_000)
+        expected = run_detector(codes, params)
+        assert len(expected) > 20
+        assert push_each(ActivityDetector(params), ActivitySignal(codes)) == expected
+        for size in (129, 4096):
+            det = ActivityDetector(params)
+            chunks = np.split(codes, range(size, codes.size, size))
+            assert [ev for chunk in chunks for ev in det.push(chunk)] == expected
 
     def test_documented_failure_mode(self):
         # q = 8 is far below 2*p^2 and five users are active: the detector
