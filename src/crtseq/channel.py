@@ -141,9 +141,11 @@ class Scenario:
                             f"user {u.user_id}: session {field} {slot} outside the int64 range"
                         )
             if not 0 <= u.generator < self.params.p:
-                raise ValueError(f"user {u.user_id}: generator outside 0..p-1")
+                raise ValueError(
+                    f"user {u.user_id}: generator {u.generator} outside 0..{self.params.p - 1}"
+                )
             if u.offset is not None and not 0 <= u.offset < L:
-                raise ValueError(f"user {u.user_id}: offset outside 0..L-1")
+                raise ValueError(f"user {u.user_id}: offset {u.offset} outside 0..{L - 1}")
             if u.sessions is not None:
                 prev_end = None
                 for a, b in u.sessions:
@@ -436,6 +438,15 @@ def _json_field(obj, key: str, where: str, kind: type, required: bool = True):
     return value
 
 
+def _json_keys(obj, where: str, *keys: str) -> None:
+    """ValueError naming a key of the JSON object obj that is not one of
+    keys, so that a misspelled optional field cannot read as absent."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in keys:
+            name = f"{where}.{key}" if where else key
+            raise ValueError(f"scenario field {name!r} is not one of {', '.join(keys)}")
+
+
 def _json_sessions(spans: list, where: str) -> tuple[tuple[int, int], ...]:
     for j, span in enumerate(spans):
         if not (type(span) is list and len(span) == 2 and all(type(x) is int for x in span)):
@@ -461,10 +472,11 @@ def scenario_from_json(obj: dict | str) -> Scenario:
     """Build a scenario from the JSON schema
     {p, q, variant, duration, seed, users:[{id, g, offset|null, sessions|null}]}.
 
-    A missing, mistyped or repeated field raises ValueError naming it.
+    A missing, mistyped, repeated or unknown field raises ValueError naming it.
     """
     if isinstance(obj, str):
         obj = json.loads(obj, object_pairs_hook=_unique_keys)
+    _json_keys(obj, "", "p", "q", "variant", "duration", "seed", "users")
     variant = _json_field(obj, "variant", "", str, required=False)
     params = CrtParams(
         _json_field(obj, "p", "", int),
@@ -474,6 +486,7 @@ def scenario_from_json(obj: dict | str) -> Scenario:
     users = []
     for i, u in enumerate(_json_field(obj, "users", "", list)):
         where = f"users[{i}]"
+        _json_keys(u, where, "id", "g", "offset", "sessions")
         spans = _json_field(u, "sessions", where, list, required=False)
         users.append(
             UserSpec(

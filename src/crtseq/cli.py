@@ -53,8 +53,8 @@ def _params(args) -> CrtParams:
 
 
 def _cmd_generate(args) -> int:
-    if args.g is None and not args.all:
-        raise ValueError("provide --g or --all")
+    if (args.g is None) != args.all:
+        raise ValueError("provide exactly one of --g and --all")
     params = _params(args)
     gens = list(range(params.p)) if args.all else [args.g]
     seqs = [generate_sequence(g, params) for g in gens]

@@ -62,14 +62,6 @@ class Deactivated:
     at: int  # period boundary whose window failed to match
 
 
-# Both ways of matching n starts cost in proportion to (p-1)*q: a gather of
-# every (start, one-position) pair also scales with n, while ANDing one
-# shifted slice per one-position pays a fixed overhead per slice.  They break
-# even near n = 256 whatever p and q; the cut sits lower because the gather
-# materializes a (p-1)*q*n index array.
-_GATHER_MAX_STARTS = 128
-
-
 def _as_int(flags: np.ndarray) -> int:
     """The 1-D boolean array as one int whose bit i is flags[i]."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
@@ -92,10 +84,8 @@ class ActivityDetector:
         # every CRT sequence has weight q, so the supports stack into (p-1, q)
         self._offsets = np.stack([generate_sequence(g, params).support() for g in self.user_ids])
         self._L = params.L
-        # busy flags of slots time-(hi-lo) .. time-1 live in _buf[lo:hi].  A
-        # chunk is written in place behind them; only when it does not fit
-        # do they move to the front of a buffer of max(2L, live + chunk)
-        # flags, the old one if it has that size
+        # busy flags of slots time-(hi-lo) .. time-1 live in _buf[lo:hi];
+        # pushed symbols are written behind them, in the room _room makes
         self._buf = np.zeros(2 * self._L, dtype=bool)
         self._view = memoryview(self._buf)
         self._lo = self._hi = 0
@@ -120,27 +110,26 @@ class ActivityDetector:
 
     def _matched(self, busy: np.ndarray, n: int) -> np.ndarray:
         """matched[k, j]: generator user_ids[k] matches the window that
-        starts at busy[j], for the first n starts."""
-        offsets = self._offsets
-        if n <= _GATHER_MAX_STARTS:
-            return busy[offsets[:, None, :] + np.arange(n)[:, None]].all(axis=2)
-        matched = np.ones((len(offsets), n), dtype=bool)
-        for row, offs in zip(matched, offsets):
+        starts at busy[j], for the first n starts.  It ANDs one shifted
+        slice per one of each sequence, (p-1)*q slices whatever n, so only
+        chunks of 2q or more symbols come here; shorter pushes go one
+        symbol at a time, at most p-1 window tests each."""
+        matched = np.ones((len(self._offsets), n), dtype=bool)
+        for row, offs in zip(matched, self._offsets):
             for d in offs:
                 row &= busy[d : d + n]
         return matched
 
-    def _append(self, codes: np.ndarray) -> None:
-        """Store the busy flags of a validated chunk behind the live ones."""
-        m, live = codes.size, self._hi - self._lo
+    def _room(self, m: int) -> None:
+        """Make room for m busy flags behind the live ones: when they do not
+        fit, move the live flags to the front of a buffer of
+        max(2L, live + m) flags, the old one if it has that size."""
         if self._hi + m > self._buf.size:
+            live = self._hi - self._lo
             size = max(2 * self._L, live + m)
             buf = self._buf if size == self._buf.size else np.empty(size, dtype=bool)
             buf[:live] = self._buf[self._lo : self._hi]
             self._buf, self._view, self._lo, self._hi = buf, memoryview(buf), 0, live
-        np.not_equal(codes, IDLE, out=self._buf[self._hi : self._hi + m])
-        self._hi += m
-        self._now += m
 
     def _flip(self, k: int, t0: int, events: list) -> int:
         """Deactivate an active user k, or activate an idle one, at start t0;
@@ -172,7 +161,9 @@ class ActivityDetector:
         """
         if not isinstance(symbols, int) and isinstance(symbols, (np.integer, np.bool_)):
             symbols = int(symbols)  # a numpy integer or bool takes the one-symbol path too
-        if isinstance(symbols, int) and 0 <= symbols <= 2 and self._hi < self._buf.size:
+        if isinstance(symbols, int) and 0 <= symbols <= 2:
+            if self._hi == self._buf.size:
+                self._room(1)
             busy = symbols != IDLE
             self._view[self._hi] = busy
             self._hi += 1
@@ -187,7 +178,13 @@ class ActivityDetector:
             if codes.ndim > 1:
                 raise ValueError(f"push takes a symbol or a 1-D array, got shape {codes.shape}")
             check_codes(codes)
-        self._append(codes)
+        m = codes.size
+        if m < 2 * self.params.q:  # see _matched
+            return [ev for c in codes.ravel().tolist() for ev in self.push(c)]
+        self._room(m)
+        np.not_equal(codes, IDLE, out=self._buf[self._hi : self._hi + m])
+        self._hi += m
+        self._now += m
         self._w = None
         n = self._hi - self._lo - self._L + 1
         if n <= 0:

@@ -85,7 +85,9 @@ class TestGenerate:
         assert "prime" in capsys.readouterr().err
 
     def test_needs_g_or_all(self, capsys):
-        assert main(["generate", "--p", "3", "--q", "5"]) == 2
+        for which in ([], ["--g", "1", "--all"]):  # neither, both
+            assert main(["generate", "--p", "3", "--q", "5", *which]) == 2
+            assert "exactly one of --g and --all" in capsys.readouterr().err
 
 
 class TestCorrelate:
@@ -558,6 +560,14 @@ MALFORMED_SCENARIOS = [
      "user 6: session end 18446744073709551616 outside the int64 range"),
     (_edited(2**63, "duration"), "duration 9223372036854775808 outside the int64 range"),
     (_edited(-3, "seed"), "scenario field 'seed' must be non-negative, got -3"),
+    (_edited(999, "users", 0, "offset"), "user 1: offset 999 outside 0..55"),
+    (_edited(9, "users", 0, "g"), "user 1: generator 9 outside 0..6"),
+    # a misspelled key, which would otherwise read as an absent optional
+    # field: a session user turned permanent, a seed turned 0
+    (_edited([[10, 70]], "users", 0, "sesions"),
+     "scenario field 'users[0].sesions' is not one of id, g, offset, sessions"),
+    (_edited(5, "sead"),
+     "scenario field 'sead' is not one of p, q, variant, duration, seed, users"),
     # a repeated key, which json.loads would drop silently (JSON text: a
     # dict cannot hold it)
     pytest.param(json.dumps(FAILURE_SCENARIO).replace('"duration": 58', '"duration": 58, '

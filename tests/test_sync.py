@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,22 +322,61 @@ class TestDetector:
         assert events == run_detector(sig, M551)
         assert Deactivated(2, 10 + L) in events
 
-    @pytest.mark.parametrize("one", [np.int8, np.uint8, np.bool_], ids=["int8", "uint8", "bool_"])
+    @staticmethod
+    def no_kernel(*args):
+        raise AssertionError("a push of fewer than 2q symbols reached the chunk kernel")
+
+    @pytest.mark.parametrize("one", [int, np.int8, np.uint8, np.bool_],
+                             ids=["int", "int8", "uint8", "bool_"])
     def test_numpy_scalars_take_the_one_symbol_path(self, monkeypatch, one):
-        # fewer than 2L pushes never fill the busy-flag buffer, so no push
-        # may reach the chunk kernel
+        # 3L pushes fill the 2L-flag buffer, so the live flags move to its
+        # front between two one-symbol pushes, and no push may reach the
+        # chunk kernel
         L = M551.L
         users = (UserSpec(2, 2, None, ((10, 10 + L),)), UserSpec(4, 4, 100))
-        sig = channel_activity(simulate(Scenario(M551, users, 2 * L - 1)))
+        sig = channel_activity(simulate(Scenario(M551, users, 3 * L)))
         expected = run_detector(sig, M551)
-        assert expected == [Activated(2, 10), Activated(4, 100)]
-
-        def no_kernel(*args):
-            raise AssertionError("a one-symbol push reached the chunk kernel")
-
-        monkeypatch.setattr(ActivityDetector, "_matched", no_kernel)
+        assert expected == [Activated(2, 10), Activated(4, 100), Deactivated(2, 10 + L)]
+        monkeypatch.setattr(ActivityDetector, "_matched", self.no_kernel)
         det = ActivityDetector(M551)
         assert [ev for c in sig.codes.tolist() for ev in det.push(one(c))] == expected
+
+    def test_short_pushes_take_the_one_symbol_path(self, monkeypatch):
+        # arrays of 1 and 2q-1 symbols, a 0-d array and a short ActivitySignal
+        # in turn, ten times over, on two sessions and a permanent user
+        L, q = M551.L, M551.q
+        users = (UserSpec(2, 2, None, ((10, 10 + L), (10 + 2 * L, 10 + 3 * L))),
+                 UserSpec(4, 4, 100))
+        forms = [(1, np.asarray), (2 * q - 1, np.asarray), (1, lambda c: np.array(c[0])),
+                 (7, ActivitySignal)]
+        duration = 10 * sum(size for size, _ in forms)
+        codes = channel_activity(simulate(Scenario(M551, users, duration))).codes
+        expected = run_detector(codes, M551)
+        assert expected == [Activated(2, 10), Activated(4, 100), Deactivated(2, 10 + L),
+                            Activated(2, 10 + 2 * L), Deactivated(2, 10 + 3 * L)]
+        monkeypatch.setattr(ActivityDetector, "_matched", self.no_kernel)
+        det, events, t = ActivityDetector(M551), [], 0
+        for _ in range(10):
+            for size, form in forms:
+                events += det.push(form(codes[t : t + size]))
+                t += size
+        assert det.time == codes.size
+        assert events == expected
+
+    def test_short_push_allocates_no_index_array(self):
+        # after an all-busy window at (31, 1931), a push of 128 symbols once
+        # built a (p-1)*q*128 index array, 63.6 MiB at its peak
+        params = CrtParams(31, 1931, Variant.MODIFIED)
+        det = ActivityDetector(params)
+        assert len(det.push(np.ones(params.L, dtype=np.int8))) == 30
+        chunk = np.ones(128, dtype=np.int8)
+        tracemalloc.start()
+        try:
+            det.push(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "symbols",
@@ -414,7 +454,7 @@ class TestDetector:
         expected = run_detector(codes, params)
         assert len(expected) > 20
         assert push_each(ActivityDetector(params), ActivitySignal(codes)) == expected
-        for size in (129, 4096):
+        for size in (129, 2 * params.q - 1, 2 * params.q, 2 * params.q + 1, 4096):
             det = ActivityDetector(params)
             chunks = np.split(codes, range(size, codes.size, size))
             assert [ev for chunk in chunks for ev in det.push(chunk)] == expected
