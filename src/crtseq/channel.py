@@ -14,7 +14,6 @@ sequence family and the offset-sampling throughput experiment.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -457,25 +456,13 @@ def _json_sessions(spans: list, where: str) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a, b in spans)
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """``object_pairs_hook`` of the JSON loaders: the decoded object, or
-    ValueError naming a key that it repeats, where ``json`` keeps the last."""
-    obj: dict = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"repeated JSON key {key!r}")
-        obj[key] = value
-    return obj
-
-
-def scenario_from_json(obj: dict | str) -> Scenario:
-    """Build a scenario from the JSON schema
+def scenario_from_json(obj: dict) -> Scenario:
+    """Build a scenario from decoded JSON of the schema
     {p, q, variant, duration, seed, users:[{id, g, offset|null, sessions|null}]}.
 
-    A missing, mistyped, repeated or unknown field raises ValueError naming it.
+    A missing, mistyped or unknown field raises ValueError naming it.  A
+    repeated key is the decoder's to report: a decoded object holds one.
     """
-    if isinstance(obj, str):
-        obj = json.loads(obj, object_pairs_hook=_unique_keys)
     _json_keys(obj, "", "p", "q", "variant", "duration", "seed", "users")
     variant = _json_field(obj, "variant", "", str, required=False)
     params = CrtParams(

@@ -98,18 +98,32 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
-# what reading a file that is not UTF-8 JSON raises
-_DECODE_ERRORS = (json.JSONDecodeError, UnicodeDecodeError)
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` of ``_read_json``: the decoded object, or
+    ValueError naming a key that it repeats, where ``json`` keeps the last."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated JSON key {key!r}")
+        obj[key] = value
+    return obj
 
 
-def _load_scenario(path: str) -> channel.Scenario:
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the UTF-8 file at path, the ``what`` file (scenario
+    or payload).  Any defect of the file raises ValueError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return channel.scenario_from_json(fh.read())
-    except FileNotFoundError as exc:
-        raise ValueError(f"scenario file not found: {path}") from exc
-    except _DECODE_ERRORS as exc:
-        raise ValueError(f"scenario file {path}: {exc}") from None
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
+    except FileNotFoundError:
+        raise ValueError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise ValueError(f"{what} file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not UTF-8 JSON, or a repeated key
+        raise ValueError(f"{what} file {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} file {path} must be a JSON object, got {obj!r:.60}")
+    return obj
 
 
 # rows per block: the arrays of a block stay in cache and in freed heap memory
@@ -177,7 +191,7 @@ def _trace_csv_block(trace: channel.ChannelTrace, ids: np.ndarray, names: np.nda
 
 
 def _cmd_simulate(args) -> int:
-    sc = _load_scenario(args.scenario)
+    sc = channel.scenario_from_json(_read_json(args.scenario, "scenario"))
     trace = channel.simulate(sc)
     _write_atomic(args.out, _trace_csv_blocks(trace))
     print(
@@ -242,7 +256,7 @@ def _expected_activations(sc: channel.Scenario) -> dict[int, set[int]]:
 
 
 def _cmd_sync(args) -> int:
-    sc = _load_scenario(args.scenario)
+    sc = channel.scenario_from_json(_read_json(args.scenario, "scenario"))
     if any(u.generator == 0 for u in sc.users):
         raise ValueError(
             "sync does not support generator 0: the detector identifies generators 1..p-1"
@@ -295,27 +309,22 @@ def _cmd_sync(args) -> int:
 def _load_payloads(path: str) -> dict[int, np.ndarray]:
     """Generator -> information symbols from a JSON object
     {"<generator>": [symbol, ...], ...}; a malformed file raises ValueError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=channel._unique_keys)
-    except ValueError as exc:  # not UTF-8 JSON, or a repeated key
-        raise ValueError(f"payload file {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"payload file must be a JSON object, got {raw!r:.60}")
     payloads = {}
-    for key, symbols in raw.items():
+    for key, symbols in _read_json(path, "payload").items():
         try:
             g = int(key)
         except ValueError:
-            raise ValueError(f"payload key {key!r} is not a generator number") from None
+            raise ValueError(
+                f"payload file {path}: key {key!r} is not a generator number"
+            ) from None
         if g in payloads:
             raise ValueError(f"payload file {path}: key {key!r} names generator {g} again")
         if not isinstance(symbols, list) or not all(
             type(x) is int and 0 <= x < 2**63 for x in symbols
         ):
             raise ValueError(
-                f"payload for generator {key} must be an array of non-negative integers, "
-                f"got {symbols!r:.60}"
+                f"payload file {path}: generator {key} must be an array of non-negative "
+                f"integers, got {symbols!r:.60}"
             )
         payloads[g] = np.asarray(symbols, dtype=np.int64)
     return payloads
@@ -335,7 +344,7 @@ def _cmd_session(args) -> int:
         payloads = _load_payloads(args.payload)
         missing = [g for g in gens if g not in payloads]
         if missing:
-            raise ValueError(f"payload file lacks symbols for users {missing}")
+            raise ValueError(f"payload file {args.payload} lacks symbols for users {missing}")
         spec = erasure.CodeSpec.for_protocol(args.p, args.k)
         for g in gens:
             symbols = payloads[g]

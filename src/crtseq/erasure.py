@@ -178,9 +178,12 @@ class ErasureCode:
         )
 
     def encode(self, info) -> np.ndarray:
-        info = np.asarray(info, dtype=np.int64)
+        info = np.asarray(info)
         if info.shape != (self.spec.dim,):
             raise ValueError(f"expected {self.spec.dim} information symbols")
+        if info.dtype.kind not in "biu":  # the cast would cut 1.7 to 1, and overflow on 2**70
+            raise ValueError(f"symbols must be integers, got dtype {info.dtype}")
+        info = info.astype(np.int64)
         if info.size and (info.min() < 0 or info.max() >= self.spec.field_order):
             raise ValueError("symbols outside the field")
         return np.concatenate([info, self.field.log_matvec(self._parity_logs, info)])
@@ -190,13 +193,17 @@ class ErasureCode:
 
         ``erased`` is a boolean mask over the n positions; erased entries of
         ``received`` are ignored.  Raises DecodeFailure when more than
-        n - dim positions are erased, and ValueError when an unerased
-        symbol lies outside the field.
+        n - dim positions are erased, and ValueError when ``received`` is
+        not a bool or integer array or an unerased symbol lies outside the
+        field.
         """
-        received = np.asarray(received, dtype=np.int64)
+        received = np.asarray(received)
         erased = np.asarray(erased, dtype=bool)
         if received.shape != (self.spec.n,) or erased.shape != (self.spec.n,):
             raise ValueError(f"expected {self.spec.n} symbols and an erasure mask")
+        if received.dtype.kind not in "biu":
+            raise ValueError(f"symbols must be integers, got dtype {received.dtype}")
+        received = received.astype(np.int64)
         known = np.flatnonzero(~erased)
         if known.size < self.spec.dim:
             raise DecodeFailure(
@@ -270,6 +277,9 @@ def session_roundtrip(
         payloads = {
             g: rng.integers(0, spec.field_order, size=spec.dim) for g in generators
         }
+    missing = [g for g in generators if g not in payloads]
+    if missing:
+        raise ValueError(f"no payload for generator {missing[0]}")
 
     L = params.L
     # j-th one of the schedule (in sequence order) carries codeword symbol j

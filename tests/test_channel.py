@@ -525,7 +525,7 @@ class TestScenarioJson:
             duration=70,
             seed=5,
         )
-        again = scenario_from_json(json.dumps(scenario_to_json(sc)))
+        again = scenario_from_json(json.loads(json.dumps(scenario_to_json(sc))))
         assert again == sc
 
     def test_defaults(self):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import tempfile
@@ -510,6 +511,22 @@ class TestSession:
             f"error: {option} must be a comma-separated list of integers, got {value!r}\n"
         )
 
+    # the session JSON at the benchmark's two shapes, pinned by digests
+    # recorded before the session path is re-routed
+    @pytest.mark.parametrize(
+        ("argv", "digest"),
+        [(["--p", "5", "--k", "5", "--users", "1,2,3", "--seed", "9137"],
+          "63b43104c594c0ed235fed0a370f4921338b1e026e06612cf5f6668a927f4787"),
+         (["--p", "13", "--k", "13", "--users", "1,2,3,4,5,6,7", "--seed", "4242"],
+          "58d8161f05e1e71b2cf2681ee0b6b1827ffc0d54d0ce1cb8e5e926a1ac92adde")],
+        ids=["5-5", "13-13"],
+    )
+    def test_golden(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "session.json"
+        assert main(["session", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_payload_must_cover_users(self, tmp_path, capsys):
         payload_path = tmp_path / "payload.json"
         payload_path.write_text(json.dumps({"1": list(range(14))}))
@@ -623,6 +640,10 @@ def test_json_string_scenario_is_not_decoded_twice(tmp_path, capsys, command):
                      "payload.json: repeated JSON key '1'", id="repeated-key"),
         pytest.param({"1": [99] * 14, "2": [5] * 14, "01": list(range(14))},
                      "payload.json: key '01' names generator 1 again", id="repeated-generator"),
+        ({"1": list(range(14)), "x": [5] * 14},
+         "payload.json: key 'x' is not a generator number"),
+        ({"1": list(range(14)), "2": 5}, "payload.json: generator 2 must be an array"),
+        ({"1": list(range(14))}, "payload.json lacks symbols for users [2]"),
     ],
 )
 def test_malformed_payload_is_usage_error(tmp_path, capsys, payload, named):
@@ -636,13 +657,15 @@ def test_malformed_payload_is_usage_error(tmp_path, capsys, payload, named):
     assert "Traceback" not in err
 
 
-# not JSON (a field name without quotes), and not UTF-8
+# not JSON (a field name without quotes), not UTF-8, and a repeated key
 UNREADABLE_JSON = [(b'{\n  p: 7}', "Expecting property name enclosed in double quotes"),
-                   (b'{"p": "\xff"}', "'utf-8' codec can't decode byte 0xff")]
+                   (b'{"p": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+                   (b'{"duration": 58, "duration": 3000}', "repeated JSON key 'duration'")]
+UNREADABLE_IDS = ["syntax", "encoding", "repeated-key"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "sync"])
-@pytest.mark.parametrize(("content", "reason"), UNREADABLE_JSON, ids=["syntax", "encoding"])
+@pytest.mark.parametrize(("content", "reason"), UNREADABLE_JSON, ids=UNREADABLE_IDS)
 def test_unreadable_scenario_file_is_named(tmp_path, capsys, command, content, reason):
     path = tmp_path / "scenario.json"
     path.write_bytes(content)
@@ -653,7 +676,7 @@ def test_unreadable_scenario_file_is_named(tmp_path, capsys, command, content, r
     assert err.startswith(f"error: scenario file {path}: {reason}")
 
 
-@pytest.mark.parametrize(("content", "reason"), UNREADABLE_JSON, ids=["syntax", "encoding"])
+@pytest.mark.parametrize(("content", "reason"), UNREADABLE_JSON, ids=UNREADABLE_IDS)
 def test_unreadable_payload_file_is_named(tmp_path, capsys, content, reason):
     path = tmp_path / "payload.json"
     path.write_bytes(content)
@@ -662,6 +685,41 @@ def test_unreadable_payload_file_is_named(tmp_path, capsys, content, reason):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: payload file {path}: {reason}")
+
+
+# the input file of each command that reads one, and its name in messages
+INPUT_FILE = {"simulate": "scenario", "sync": "scenario", "session": "payload"}
+
+
+def _main_reading(command: str, path, tmp_path) -> int:
+    """main() on command with path as its scenario or payload file."""
+    if command == "session":
+        return main(["session", "--p", "5", "--k", "5", "--users", "1,2", "--offsets", "0,9",
+                     "--payload", str(path)])
+    out_flag = "--out" if command == "simulate" else "--emit"
+    return main([command, "--scenario", str(path), out_flag, str(tmp_path / "out.csv")])
+
+
+@pytest.mark.parametrize("command", INPUT_FILE)
+def test_input_file_that_cannot_be_opened_is_named(tmp_path, capsys, command):
+    what = INPUT_FILE[command]
+    missing = tmp_path / "nope.json"
+    assert _main_reading(command, missing, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {what} file not found: {missing}\n"
+    assert _main_reading(command, tmp_path, tmp_path) == 2  # a directory
+    assert capsys.readouterr().err == f"error: {what} file {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("command", INPUT_FILE)
+def test_input_file_that_is_not_an_object_is_named(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_text("[1, 2]")
+    assert _main_reading(command, path, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {INPUT_FILE[command]} file {path} must be a JSON object, got [1, 2]\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["simulate", "sync"])

@@ -132,6 +132,22 @@ class TestErasureCode:
         with pytest.raises(ValueError):
             SMALL.decode(word, erased)
 
+    # symbols the int64 cast would cut (1.7 to 1) or overflow on (2**70)
+    @pytest.mark.parametrize("bad", [[1.7, 2.0, 3.0], [2**70, 2, 3]], ids=["float", "object"])
+    def test_non_integer_symbols_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            SMALL.encode(bad)
+        word = SMALL.encode([1, 2, 3]).tolist()
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            SMALL.decode(bad + word[3:], np.zeros(6, bool))
+
+    def test_bool_symbols_are_accepted(self):
+        word = SMALL.encode(np.array([True, False, True]))
+        assert np.array_equal(word, SMALL.encode([1, 0, 1]))
+        erased = np.array([True, False, False, False, False, False])
+        # the zero codeword as bools
+        assert np.array_equal(SMALL.decode(np.zeros(6, bool), erased), [0, 0, 0])
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_protocol_code_handles_budget_erasures(self, seed):
@@ -299,6 +315,15 @@ class TestSessionRoundtrip:
         assert report.measured_throughput < report.info_throughput
         for g in failed:
             assert report.margins[g] == 1 - report.erasure_counts[g] < 0
+
+    def test_missing_payload_rejected(self):
+        with pytest.raises(ValueError, match="no payload for generator 2"):
+            session_roundtrip(5, 5, (1, 2), (0, 9), payloads={1: np.arange(14)})
+
+    def test_non_integer_payload_rejected(self):
+        # a cast to int64 would send 1.7 as 1 and report a failed recovery
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            session_roundtrip(5, 5, (1, 2), (0, 9), payloads={1: [1.7] * 14, 2: np.arange(14)})
 
     def test_too_many_users_rejected(self):
         with pytest.raises(ValueError):
