@@ -126,66 +126,75 @@ def _read_json(path: str, what: str) -> dict:
     return obj
 
 
-# rows per block: the arrays of a block stay in cache and in freed heap memory
-_CSV_BLOCK_SLOTS = 1 << 14
-# what follows a row's slot, by min(sender count, 2), NUL-padded to one width
-_OUTCOME_WORDS = np.array([b",idle,\n", b",success,", b",collision,"], dtype="S11").view("V11")
-_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
-_PLUS, _NEWLINE = b"+\n"
+# slots per block: the arrays of a block stay in cache and in freed heap
+# memory.  A block also ends at each multiple of _LOW, so the slots of a
+# block share their digits above the last four
+_LOW = 10**4
+_CSV_BLOCK_SLOTS = _LOW
+# what follows a row's slot, by min(sender count, 2)
+_OUTCOME_WORDS = (b",idle,\n", b",success,", b",collision,")
+
+
+@functools.cache
+def _low_digits() -> np.ndarray:
+    """The last four digits of slots 0.._LOW-1 as (2, _LOW) read-only
+    4-byte records: [0] zero-padded, for slots of more digits, and [1]
+    NUL-padded, the whole slot's digits, for slots below _LOW."""
+    slot = np.arange(_LOW)[:, None]
+    digits = (slot // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    table = np.stack([digits, np.where(slot < [1000, 100, 10, 0], 0, digits)]).view("V4")[..., 0]
+    table.flags.writeable = False
+    return table
 
 
 def _trace_csv_blocks(trace: channel.ChannelTrace) -> Iterator[bytes]:
-    """trace.csv bytes in blocks of ``_CSV_BLOCK_SLOTS`` slots."""
+    """trace.csv bytes in blocks of at most ``_CSV_BLOCK_SLOTS`` slots."""
     yield b"slot,outcome,sender\n"
-    # every sender's decimal name, NUL-padded, at the rank of its id
     ids = np.array(sorted(trace.sent), dtype=np.int64)
-    names = np.array([b"%d" % u for u in ids.tolist()], dtype=bytes)
-    for lo in range(0, trace.duration, _CSV_BLOCK_SLOTS):
-        yield _trace_csv_block(trace, ids, names, lo, min(lo + _CSV_BLOCK_SLOTS, trace.duration))
+    # row 2i: the decimal name of the sender of rank i and '+', row 2i + 1:
+    # its name and a newline; one NUL-padded record width for the file
+    # holds these and every row head
+    names = [b"%d%c" % (u, end) for u in ids.tolist() for end in b"+\n"]
+    high_digits = len(str((trace.duration - 1) // _LOW)) if trace.duration > _LOW else 0
+    width = max([high_digits + 4 + max(map(len, _OUTCOME_WORDS)), *map(len, names)])
+    names = np.array(names, dtype=f"S{width}").view(f"V{width}")
+    lo = 0
+    while lo < trace.duration:
+        hi = min(lo + _CSV_BLOCK_SLOTS, (lo // _LOW + 1) * _LOW, trace.duration)
+        yield _trace_csv_block(trace, ids, names, lo, hi)
+        lo = hi
 
 
 def _trace_csv_block(trace: channel.ChannelTrace, ids: np.ndarray, names: np.ndarray,
                      lo: int, hi: int) -> bytes:
-    """Rows lo..hi-1 of trace.csv.  Each row head (slot digits and outcome
-    word) and each transmission (sender name, then '+' or a newline) is
-    one fixed-width NUL-padded byte record; the records are interleaved in
-    file order and the NULs dropped."""
+    """Rows lo..hi-1 of trace.csv, slots that share their digits above the
+    last four.  Each row head (slot digits and outcome word) and each
+    transmission (sender name, then '+' or a newline) is one NUL-padded
+    record of names' dtype.  The head of a row of n senders is repeated
+    n + 1 times, the row's transmissions overwrite the last n copies, and
+    the NULs are dropped."""
     n = trace.n_senders[lo:hi]
     first, last = np.searchsorted(trace.transmission_slot, [lo, hi])
     row = trace.transmission_slot[first:last] - lo
     sender = trace.transmission_sender[first:last]
-    slot_digits = len(str(hi - 1))
-    width = names.itemsize
-    record = np.dtype(f"V{max(slot_digits + 11, width + 1)}")
 
-    head = np.zeros(n.size, dtype=record)
-    words = np.dtype({"names": ["w"], "formats": ["V11"], "offsets": [slot_digits],
-                      "itemsize": record.itemsize})
-    head.view(words)["w"] = _OUTCOME_WORDS[np.minimum(n, 2)]
-    head_bytes = head.view(np.uint8).reshape(n.size, record.itemsize)
-    for i in range(slot_digits):  # the slots are consecutive: digit i runs in blocks of 10**i
-        power = 10**i
-        v0, v1 = lo // power, (hi - 1) // power
-        digit = np.resize(_DIGITS, v1 - v0 + 11)[v0 % 10 : v1 - v0 + 1 + v0 % 10]
-        if i and v0 == 0:
-            digit[0] = 0  # a leading zero
-        if power > 1:
-            runs = np.full(digit.size, power)
-            runs[0] -= lo - v0 * power
-            runs[-1] -= (v1 + 1) * power - hi
-            digit = np.repeat(digit, runs)
-        head_bytes[:, slot_digits - 1 - i] = digit
+    # the three heads, by min(n, 2): the digits above the last four, room
+    # for those four, the outcome word
+    high = b"%d" % (lo // _LOW) if lo >= _LOW else b""
+    heads = np.array([high + bytes(4) + word for word in _OUTCOME_WORDS],
+                     dtype=f"S{names.itemsize}").view(names.dtype)
+    head = heads.take(np.minimum(n, 2))
+    low = np.dtype({"names": ["low"], "formats": ["V4"], "offsets": [len(high)],
+                    "itemsize": names.itemsize})
+    head.view(low)["low"] = _low_digits()[0 if high else 1, lo % _LOW : lo % _LOW + n.size]
 
-    tx = np.zeros((sender.size, record.itemsize), dtype=np.uint8)
-    tx[:, :width] = names[np.searchsorted(ids, sender)].view(np.uint8).reshape(-1, width)
-    tx[:, width] = _PLUS
-    tx[np.diff(row, append=n.size) != 0, width] = _NEWLINE  # a row's last sender
-
-    # row r's head follows the heads and transmissions of rows 0..r-1, and
-    # transmission j of row r follows r + 1 heads and j earlier transmissions
-    records = np.empty(n.size + sender.size, dtype=record)
-    records[np.arange(n.size) + np.cumsum(n) - n] = head
-    records[row + np.arange(sender.size) + 1] = tx.view(record).ravel()
+    records = np.repeat(head, n + 1)
+    # transmission j of row r follows r + 1 heads and j earlier
+    # transmissions; a row's last sender ends it with a newline
+    last_of_row = np.diff(row, append=n.size) != 0
+    records[row + np.arange(sender.size) + 1] = names.take(
+        2 * np.searchsorted(ids, sender) + last_of_row
+    )
     flat = records.view(np.uint8)
     return flat[flat != 0].tobytes()
 

@@ -191,18 +191,25 @@ class ErasureCode:
     def decode(self, received, erased) -> np.ndarray:
         """Recover the information symbols from a codeword with erasures.
 
-        ``erased`` is a boolean mask over the n positions; erased entries of
-        ``received`` are ignored.  Raises DecodeFailure when more than
-        n - dim positions are erased, and ValueError when ``received`` is
-        not a bool or integer array or an unerased symbol lies outside the
+        ``erased`` is a mask over the n positions, of bools or of the
+        integers 0 and 1; erased entries of ``received`` are ignored.
+        Raises DecodeFailure when more than n - dim positions are erased,
+        and ValueError when ``received`` is not a bool or integer array, the
+        mask holds any other value, or an unerased symbol lies outside the
         field.
         """
         received = np.asarray(received)
-        erased = np.asarray(erased, dtype=bool)
+        erased = np.asarray(erased)
         if received.shape != (self.spec.n,) or erased.shape != (self.spec.n,):
             raise ValueError(f"expected {self.spec.n} symbols and an erasure mask")
         if received.dtype.kind not in "biu":
             raise ValueError(f"symbols must be integers, got dtype {received.dtype}")
+        if erased.dtype.kind != "b" and (
+            erased.dtype.kind not in "iu" or np.any((erased != 0) & (erased != 1))
+        ):
+            raise ValueError(f"erasure mask must hold bools or the integers 0 and 1, "
+                             f"got {erased.tolist()!r:.60}")
+        erased = erased.astype(bool, copy=False)
         received = received.astype(np.int64)
         known = np.flatnonzero(~erased)
         if known.size < self.spec.dim:

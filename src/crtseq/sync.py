@@ -110,15 +110,22 @@ class ActivityDetector:
 
     def _matched(self, busy: np.ndarray, n: int) -> np.ndarray:
         """matched[k, j]: generator user_ids[k] matches the window that
-        starts at busy[j], for the first n starts.  It ANDs one shifted
-        slice per one of each sequence, (p-1)*q slices whatever n, so only
-        chunks of 2q or more symbols come here; shorter pushes go one
-        symbol at a time, at most p-1 window tests each."""
-        matched = np.ones((len(self._offsets), n), dtype=bool)
-        for row, offs in zip(matched, self._offsets):
+        starts at busy[j], for the first n starts.
+
+        busy is packed 8 flags to a byte at each of the 8 bit shifts, and
+        each row ANDs, per one d of its sequence, the ceil(n/8) bytes of
+        shift d & 7 from byte d >> 3: (p-1)*q byte slices whatever n, plus
+        the 8 packings, so only chunks of 2q or more symbols come here;
+        shorter pushes go one symbol at a time, at most p-1 window tests
+        each.  busy holds at least n + L - 1 flags, so every slice is
+        whole; the bits past n are dropped when the rows are unpacked."""
+        width = -(-n // 8)
+        shifts = [np.packbits(busy[r:], bitorder="little") for r in range(8)]
+        packed = np.full((len(self._offsets), width), 0xFF, dtype=np.uint8)
+        for row, offs in zip(packed, self._offsets.tolist()):
             for d in offs:
-                row &= busy[d : d + n]
-        return matched
+                row &= shifts[d & 7][d >> 3 : (d >> 3) + width]
+        return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
     def _room(self, m: int) -> None:
         """Make room for m busy flags behind the live ones: when they do not

@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -167,6 +168,32 @@ class TestSimulate:
             text = b"".join(cli._trace_csv_blocks(trace)).decode()
         assert "\n999,collision,3+42+365\n1000,collision,7+42+58+512\n" in text
         assert text == oracle_trace_csv(scenario)
+
+    @staticmethod
+    @functools.cache
+    def decade_scenario():
+        """The users of the digit-boundary test, moved to collide at slots
+        9999 and 10000 and again 90 000 slots later, at 99999 and 100000,
+        where the slot's digits above the last four grow from none to one
+        and from one to two; and the scenario's trace.csv by definition."""
+        starts = {3: 9999, 42: 9999, 365: 9999, 7: 10000, 58: 10000, 512: 10000}
+        users = tuple(
+            channel.UserSpec(uid, g, None, ((a, a + 31), (a + 90_000, a + 90_031)))
+            for g, (uid, a) in enumerate(starts.items())
+        )
+        scenario = channel.Scenario(CrtParams(7, 3), users, duration=100_010)
+        return scenario, oracle_trace_csv(scenario)
+
+    @pytest.mark.parametrize("block", [1, 7, 9999, 10_001, 1 << 16])
+    def test_trace_csv_blocks_at_decade_boundaries(self, block):
+        scenario, expected = self.decade_scenario()
+        trace = channel.simulate(scenario)
+        assert all(trace.n_senders[t] >= 3 for t in (9999, 10_000, 99_999, 100_000))
+        with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
+            text = b"".join(cli._trace_csv_blocks(trace)).decode()
+        assert "\n9999,collision,3+42+365\n10000,collision,7+42+58+512\n" in text
+        assert "\n99999,collision,3+42+365\n100000,collision,7+42+58+512\n" in text
+        assert text == expected
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     def test_trace_csv_blocks_of_extreme_ids(self, block):

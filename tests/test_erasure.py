@@ -141,6 +141,20 @@ class TestErasureCode:
         with pytest.raises(ValueError, match="symbols must be integers"):
             SMALL.decode(bad + word[3:], np.zeros(6, bool))
 
+    # a bool cast would read every nonzero entry as an erasure
+    @pytest.mark.parametrize("mask", [[0.5, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, -1]],
+                             ids=["float", "two-and-minus-one"])
+    def test_erasure_mask_outside_0_1_is_rejected(self, mask):
+        word = SMALL.encode([1, 2, 3])
+        with pytest.raises(ValueError, match="erasure mask must hold bools or the integers"):
+            SMALL.decode(word, mask)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_erasure_mask_of_0_1_is_accepted(self, dtype):
+        word = SMALL.encode([1, 2, 3])
+        erased = np.array([1, 0, 1, 0, 0, 1], dtype=dtype)
+        assert SMALL.decode(np.where(erased, 0, word), erased).tolist() == [1, 2, 3]
+
     def test_bool_symbols_are_accepted(self):
         word = SMALL.encode(np.array([True, False, True]))
         assert np.array_equal(word, SMALL.encode([1, 0, 1]))

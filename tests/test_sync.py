@@ -211,6 +211,22 @@ class TestDetector:
         assert chunked == expected
         assert run_detector(ActivitySignal(codes), params) == expected
 
+    @given(st.sampled_from([(3, 19), (5, 51), (7, 101)]), st.integers(0, 40), st.integers(0, 7),
+           st.sampled_from([0, 1 / 256, 1 / 64, 1 / 16, 1 / 2]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_match_kernel_matches_definition(self, pq, whole_bytes, odd_bits, idle_rate, seed):
+        # n of every residue mod 8 and offsets of every residue mod 8, so each
+        # of the 8 packed shifts and a partial last byte are read
+        params = CrtParams(*pq, Variant.MODIFIED)
+        n = max(8 * whole_bytes + odd_bits, 1)
+        det = ActivityDetector(params)
+        assert {d & 7 for d in det._offsets.ravel().tolist()} == set(range(8))
+        rng = np.random.default_rng(seed)
+        codes = np.where(rng.random(n + params.L - 1) < idle_rate, IDLE, 1)
+        seqs = [generate_sequence(g, params) for g in det.user_ids]
+        expected = [[is_matched(codes, seq, t0) for t0 in range(n)] for seq in seqs]
+        assert det._matched(codes != IDLE, n).tolist() == expected
+
     @given(st.sampled_from([M78, CrtParams(5, 12, Variant.MODIFIED)]),
            st.sampled_from([0, 1 / 64, 1 / 16]),
            st.integers(0, 2**32 - 1),
