@@ -8,7 +8,7 @@ one user's start is misdated.
 
 from crtseq import CrtParams, Variant
 from crtseq.channel import Scenario, UserSpec, channel_activity, simulate
-from crtseq.sync import run_detector, sync_guarantee
+from crtseq.sync import judge, run_detector
 
 # guaranteed: p=5, q=51 > 2p^2, three users with session starts 100/40/388
 params = CrtParams(5, 51, Variant.MODIFIED)
@@ -17,9 +17,10 @@ users = tuple(
     UserSpec(g, g, None, ((start, duration),))
     for g, start in ((1, 100), (2, 40), (4, 388))
 )
-signal = channel_activity(simulate(Scenario(params, users, duration)))
-print("guarantee:", sync_guarantee(5, 51, 3).level.value)
-for event in run_detector(signal, params):
+scenario = Scenario(params, users, duration)
+events = run_detector(channel_activity(simulate(scenario)), params)
+print(judge(scenario, events))
+for event in events:
     print(" ", event)
 
 # not guaranteed: q = 8 << 2p^2 and five users; user 6 starts at slot 1 but
@@ -28,9 +29,11 @@ small = CrtParams(7, 8, Variant.MODIFIED)
 crowd = tuple(
     UserSpec(g, g, off) for g, off in ((1, 0), (2, 0), (3, 1), (4, 1), (6, 1))
 )
-signal = channel_activity(simulate(Scenario(small, crowd, 58)))
+scenario = Scenario(small, crowd, 58)
+signal = channel_activity(simulate(scenario))
+events = run_detector(signal, small)
 print("\nactivity:", signal)
-print("guarantee:", sync_guarantee(7, 8, 5).reason)
-for event in run_detector(signal, small):
+print(judge(scenario, events))
+for event in events:
     print(" ", event)
 print("note: user 6 is reported at slot 0 although it started at slot 1")

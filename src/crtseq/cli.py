@@ -232,38 +232,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _peak_active(sc: channel.Scenario) -> int:
-    """Most users active at once over the users' phase spans, clipped to
-    the simulated horizon."""
-    edges = []
-    for spans in sc.spans().values():
-        for a, b in spans:
-            if a < sc.duration:
-                edges += [(a, 1), (min(b, sc.duration), -1)]
-    active = peak = 0
-    for _, step in sorted(edges):  # at equal slots an end sorts before a start
-        active += step
-        peak = max(peak, active)
-    return peak
-
-
-def _expected_activations(sc: channel.Scenario) -> dict[int, set[int]]:
-    """Per judged user: start slots at which a correct detector must
-    activate it, each span's first period boundary at or after slot 0
-    (only starts whose full window fits in the simulated horizon).
-
-    A user with a span that starts before slot 0 off a period boundary (a
-    permanent user with offset tau > 0) is not judged and left out: its
-    previous period fills [0, tau), so the receiver sees a cyclic shift of
-    its sequence, which the identification guarantee does not cover."""
-    L = sc.params.L
-    return {
-        uid: {max(a, 0) for a, _ in spans if max(a, 0) + L <= sc.duration}
-        for uid, spans in sc.spans().items()
-        if all(a >= 0 or a % L == 0 for a, _ in spans)
-    }
-
-
 def _cmd_sync(args) -> int:
     sc = channel.scenario_from_json(_read_json(args.scenario, "scenario"))
     if any(u.generator == 0 for u in sc.users):
@@ -282,34 +250,9 @@ def _cmd_sync(args) -> int:
             rows.append(f"{ev.at + L},deactivated,{ev.user},")
     _write_atomic(args.emit, "\n".join(rows) + "\n")
 
-    expected = _expected_activations(sc)
-    user_of = {u.generator: u.user_id for u in sc.users}  # events carry generators
-    errors = []
-    seen: dict[int, set[int]] = {u: set() for u in expected}
-    for ev in events:
-        if isinstance(ev, sync.Activated):
-            user = user_of.get(ev.user)
-            if user is None:
-                errors.append(f"false alarm: generator {ev.user} activated at {ev.start}")
-            elif user not in expected:
-                continue
-            elif ev.start not in expected[user]:
-                errors.append(f"start error: user {user} activated at {ev.start}")
-            else:
-                seen[user].add(ev.start)
-    for u, starts in expected.items():
-        for s in starts - seen[u]:
-            errors.append(f"missed detection: user {u} at start {s}")
-
-    guarantee = sync.sync_guarantee(sc.params.p, sc.params.q, _peak_active(sc))
-    print(f"{len(events)} events, guarantee: {guarantee.level.value}"
-          + (f" ({guarantee.reason})" if guarantee.reason else ""))
-    for u in sc.users:
-        if u.user_id not in expected:
-            print(f"not judged: user {u.user_id} (started before slot 0)")
-    for err in errors:
-        print(err)
-    if errors and guarantee.guaranteed and args.assert_guarantee:
+    verdict = sync.judge(sc, events)
+    print(f"{len(events)} events, {verdict}")
+    if verdict.violated and args.assert_guarantee:
         print("guarantee violated", file=sys.stderr)
         return GUARANTEE_VIOLATION
     return 0

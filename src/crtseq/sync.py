@@ -9,23 +9,24 @@ it per the matching rule: an idle user that matches at t0 becomes active
 with start t0; an active user is re-examined only at whole-period
 boundaries of its own start and is dropped on the first failed match.
 
-Identification is provably reliable when the period is long enough
-relative to p^2 and at most (p+1)/2 users are simultaneously active;
-outside those conditions the detector may mistake one user's delayed
-transmissions for another user (a documented failure mode that the tests
-reproduce).  The supporting machinery - the slot layout matrix, windowed
-partial correlations, and the uncovered-ones witness - lives here too.
+With the modified variant, identification is provably reliable when the
+period is long enough relative to p^2 and at most (p+1)/2 users are active
+at once, and ``judge`` returns a run's Verdict against those conditions;
+outside them the detector may mistake one user's delayed transmissions for
+another user.  The slot layout matrix, windowed partial correlations and
+the uncovered-ones witness behind them live here too.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
-from .channel import IDLE, ActivitySignal, check_codes
+from .channel import IDLE, ActivitySignal, Scenario, check_codes
 from .core import (
     CrtParams,
     GridPoint,
@@ -41,8 +42,9 @@ __all__ = [
     "ActivityDetector",
     "run_detector",
     "GuaranteeLevel",
-    "SyncGuarantee",
+    "Verdict",
     "sync_guarantee",
+    "judge",
     "slot_matrix",
     "partial_cross_correlation",
     "UncoveredOnes",
@@ -279,34 +281,97 @@ class GuaranteeLevel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SyncGuarantee:
+class Verdict:
     level: GuaranteeLevel
-    reason: str | None = None
+    reason: str | None = None  # why there is no guarantee
+    errors: tuple[str, ...] = ()  # a run's errors, in report order
+    unjudged: tuple[int, ...] = ()  # ids of the users the run's verdict leaves out
 
     @property
     def guaranteed(self) -> bool:
         return self.level is not GuaranteeLevel.NONE
 
+    @property
+    def violated(self) -> bool:
+        return self.guaranteed and bool(self.errors)
 
-def sync_guarantee(p: int, q: int, active_count: int) -> SyncGuarantee:
-    """Whether identification and synchronization are provably error-free
-    for the given parameters and number of simultaneously active users."""
+    def __str__(self) -> str:
+        head = f"guarantee: {self.level.value}" + (f" ({self.reason})" if self.reason else "")
+        unjudged = [f"not judged: user {u} (started before slot 0)" for u in self.unjudged]
+        return "\n".join([head, *unjudged, *self.errors])
+
+
+def sync_guarantee(p: int, q: int, active_count: int) -> Verdict:
+    """Whether identification and synchronization are provably error-free,
+    as a Verdict without errors, for the modified variant (the conditions
+    are that variant's) at (p, q) with active_count users active at once."""
     if math.gcd(p, q) != 1:
         raise ValueError("p and q must be coprime")
     cap = (p + 1) // 2
-    if q > 2 * p * p and active_count <= cap:
-        return SyncGuarantee(GuaranteeLevel.GENERAL)
-    if q > p * p and q % p in (1, p - 1) and active_count <= cap:
-        return SyncGuarantee(GuaranteeLevel.THREE_VALUED)
     if active_count > cap:
-        return SyncGuarantee(GuaranteeLevel.NONE, f"active users {active_count} > (p+1)/2 = {cap}")
+        return Verdict(GuaranteeLevel.NONE, f"active users {active_count} > (p+1)/2 = {cap}")
+    if q > 2 * p * p:
+        return Verdict(GuaranteeLevel.GENERAL)
     if q <= p * p:
-        return SyncGuarantee(GuaranteeLevel.NONE, f"q = {q} <= p^2 = {p * p}")
-    if q % p not in (1, p - 1):
-        return SyncGuarantee(
-            GuaranteeLevel.NONE, f"q = {q} <= 2p^2 = {2 * p * p} and q mod p not in {{1, p-1}}"
-        )
-    return SyncGuarantee(GuaranteeLevel.NONE, f"q = {q} <= 2p^2 = {2 * p * p}")
+        return Verdict(GuaranteeLevel.NONE, f"q = {q} <= p^2 = {p * p}")
+    if q % p in (1, p - 1):
+        return Verdict(GuaranteeLevel.THREE_VALUED)
+    return Verdict(
+        GuaranteeLevel.NONE, f"q = {q} <= 2p^2 = {2 * p * p} and q mod p not in {{1, p-1}}"
+    )
+
+
+def _peak_active(sc: Scenario) -> int:
+    """Most users active at once over the users' phase spans, clipped to
+    the simulated horizon."""
+    edges = []
+    for spans in sc.spans().values():
+        for a, b in spans:
+            if a < sc.duration:
+                edges += [(a, 1), (min(b, sc.duration), -1)]
+    # at equal slots an end sorts before a start
+    return max(accumulate(step for _, step in sorted(edges)), default=0)
+
+
+def _expected_activations(sc: Scenario) -> dict[int, set[int]]:
+    """Per judged user: the start slots at which a correct detector must
+    activate it, each span's first period boundary at or after slot 0 whose
+    window fits in the horizon.  A span that starts before slot 0 off a
+    period boundary (a permanent user with offset tau > 0) leaves its user
+    out: its previous period fills [0, tau), so the receiver sees a cyclic
+    shift of its sequence, which the identification guarantee does not cover."""
+    L = sc.params.L
+    return {
+        uid: {max(a, 0) for a, _ in spans if max(a, 0) + L <= sc.duration}
+        for uid, spans in sc.spans().items()
+        if all(a >= 0 or a % L == 0 for a, _ in spans)
+    }
+
+
+def judge(sc: Scenario, events: list[Activated | Deactivated]) -> Verdict:
+    """The Verdict on the events of a detector run over the scenario: false
+    alarms and start errors in event order, then missed detections per user
+    in scenario order, by start.  The std variant is guaranteed nothing."""
+    expected = _expected_activations(sc)
+    user_of = {u.generator: u.user_id for u in sc.users}  # events carry generators
+    errors, found = [], set()
+    for ev in events:
+        if isinstance(ev, Activated):
+            user = user_of.get(ev.user)
+            if user is None:
+                errors.append(f"false alarm: generator {ev.user} activated at {ev.start}")
+            elif ev.start in expected.get(user, ()):
+                found.add((user, ev.start))
+            elif user in expected:
+                errors.append(f"start error: user {user} activated at {ev.start}")
+    errors += [f"missed detection: user {u} at start {s}"
+               for u, starts in expected.items() for s in sorted(starts) if (u, s) not in found]
+    if sc.params.variant is Variant.MODIFIED:
+        verdict = sync_guarantee(sc.params.p, sc.params.q, _peak_active(sc))
+    else:
+        verdict = Verdict(GuaranteeLevel.NONE, "std variant: proven for the mod variant only")
+    unjudged = tuple(u.user_id for u in sc.users if u.user_id not in expected)
+    return replace(verdict, errors=tuple(errors), unjudged=unjudged)
 
 
 def slot_matrix(params: CrtParams) -> np.ndarray:

@@ -28,7 +28,7 @@ PUBLIC = {
     ],
     "crtseq.sync": [
         "Activated", "Deactivated", "ActivityDetector", "run_detector", "GuaranteeLevel",
-        "SyncGuarantee", "sync_guarantee", "slot_matrix", "partial_cross_correlation",
+        "Verdict", "sync_guarantee", "judge", "slot_matrix", "partial_cross_correlation",
         "UncoveredOnes", "uncovered_ones",
     ],
     "crtseq.erasure": [

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtseq import channel, cli
+from crtseq import channel, cli, sync
 from crtseq.cli import main
 from crtseq.core import CrtParams, generate_sequence
 from crtseq.correlation import correlation_spectrum
@@ -30,6 +30,20 @@ FAILURE_SCENARIO = {
         {"id": 3, "g": 3, "offset": 1},
         {"id": 4, "g": 4, "offset": 1},
         {"id": 6, "g": 6, "offset": 1},
+    ],
+}
+
+
+# two session users at (3, 25) with the standard variant, whose run the
+# detector gets wrong although q > 2p^2 and both fit under the (p+1)/2 cap
+STD_SCENARIO = {
+    "p": 3,
+    "q": 25,
+    "variant": "std",
+    "duration": 375,
+    "users": [
+        {"id": 2, "g": 2, "sessions": [[88, 168]]},
+        {"id": 1, "g": 1, "sessions": [[118, 283]]},
     ],
 }
 
@@ -350,8 +364,8 @@ class TestSyncVerdict:
         ]
         sc = channel.scenario_from_json({"p": 5, "q": 53, "variant": "mod", "duration": 500,
                                          "users": users})
-        assert cli._peak_active(sc) == 3
-        assert cli._expected_activations(sc) == {1: {30}, 2: {0}}
+        assert sync._peak_active(sc) == 3
+        assert sync._expected_activations(sc) == {1: {30}, 2: {0}}
         assert _sync(tmp_path, users, duration=500) == 0
         assert capsys.readouterr().out.splitlines() == [
             "2 events, guarantee: general",
@@ -374,6 +388,46 @@ class TestSyncVerdict:
             "not judged: user 3 (started before slot 0)",
         ]
         assert "308,activated,3,43" in (tmp_path / "events.csv").read_text().splitlines()
+
+    def test_standard_variant_is_not_guaranteed(self, tmp_path, capsys):
+        # the guarantee's conditions are the modified variant's: with the
+        # standard one the detector misdates user 1 at (3, 25), which
+        # --assert-guarantee must not call a violation
+        scenario = dict(STD_SCENARIO)
+        path = tmp_path / "std.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["sync", "--scenario", str(path), "--emit", str(tmp_path / "e.csv"),
+                "--assert-guarantee"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "6 events, guarantee: none (std variant: proven for the mod variant only)",
+            "start error: user 1 activated at 117",
+            "start error: user 1 activated at 193",
+            "missed detection: user 1 at start 118",
+        ]
+        del scenario["variant"]  # an omitted variant reads as std
+        path.write_text(json.dumps(scenario))
+        assert main(argv) == 0
+        assert "guarantee: none (std variant" in capsys.readouterr().out
+        path.write_text(json.dumps(dict(scenario, variant="mod")))
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == ["4 events, guarantee: general"]
+
+    def test_false_alarm(self, tmp_path, capsys):
+        # q = 6 <= p^2: the channel matches generator 4, which no user holds
+        path = tmp_path / "fa.json"
+        path.write_text(json.dumps({
+            "p": 5, "q": 6, "variant": "mod", "duration": 150,
+            "users": [{"id": 3, "g": 3, "sessions": [[13, 79]]},
+                      {"id": 2, "g": 2, "sessions": [[8, 46]]},
+                      {"id": 1, "g": 1, "sessions": [[0, 65]]}],
+        }))
+        assert main(["sync", "--scenario", str(path), "--emit", str(tmp_path / "e.csv"),
+                     "--assert-guarantee"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "8 events, guarantee: none (q = 6 <= p^2 = 25)",
+            "false alarm: generator 4 activated at 16",
+        ]
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -431,8 +485,8 @@ class TestSyncVerdict:
         for _, step in sorted(edges):
             active += step
             peak = max(peak, active)
-        assert cli._peak_active(sc) == peak
-        assert cli._expected_activations(sc) == expected
+        assert sync._peak_active(sc) == peak
+        assert sync._expected_activations(sc) == expected
 
 
 class TestSweep:

@@ -15,12 +15,21 @@ from crtseq.core import (
     crt_map,
     generate_sequence,
 )
-from crtseq.channel import IDLE, ActivitySignal, Scenario, UserSpec, channel_activity, simulate
+from crtseq.channel import (
+    IDLE,
+    ActivitySignal,
+    Scenario,
+    UserSpec,
+    channel_activity,
+    scenario_from_json,
+    simulate,
+)
 from crtseq.sync import (
     Activated,
     ActivityDetector,
     Deactivated,
     GuaranteeLevel,
+    judge,
     partial_cross_correlation,
     run_detector,
     slot_matrix,
@@ -510,6 +519,72 @@ class TestGuarantee:
     def test_rejects_common_factor(self):
         with pytest.raises(ValueError):
             sync_guarantee(5, 50, 1)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_levels_over_q_and_active_count(self, p):
+        # the closed-form conditions, one (q, active count) at a time
+        cap = (p + 1) // 2
+        for q in (q for q in range(p + 1, 2 * p * p + 3 * p) if q % p):
+            for n in range(1, p + 1):
+                res = sync_guarantee(p, q, n)
+                if n <= cap and q > 2 * p * p:
+                    assert res.level is GuaranteeLevel.GENERAL and res.reason is None
+                elif n <= cap and q > p * p and q % p in (1, p - 1):
+                    assert res.level is GuaranteeLevel.THREE_VALUED and res.reason is None
+                else:
+                    assert res.level is GuaranteeLevel.NONE and res.reason
+                assert res.errors == () and res.unjudged == () and not res.violated
+
+
+def judge_run(scenario: dict):
+    """The Verdict on run_detector's events over the scenario JSON."""
+    sc = scenario_from_json(scenario)
+    return judge(sc, run_detector(channel_activity(simulate(sc)), sc.params))
+
+
+# four users, the (p+1)/2 cap, at p = 7 and q = 55 = -1 mod 7: in the window
+# that starts 34 slots before user 5's session, that session's own start
+# and users 1, 3 and 6 cover all 55 of user 5's ones
+THREE_VALUED_COVER = {
+    "p": 7, "q": 55, "variant": "mod", "duration": 2344,
+    "users": [{"id": 5, "g": 5, "sessions": [[1189, 1959]]},
+              {"id": 1, "g": 1, "sessions": [[409, 2344]]},
+              {"id": 3, "g": 3, "sessions": [[387, 2344]]},
+              {"id": 6, "g": 6, "sessions": [[426, 2344]]}],
+}
+
+
+class TestJudge:
+    def test_three_valued_cover_is_misdated(self):
+        verdict = judge_run(THREE_VALUED_COVER)
+        assert verdict.level is GuaranteeLevel.THREE_VALUED
+        assert verdict.errors == ("start error: user 5 activated at 1155",
+                                  "missed detection: user 5 at start 1189")
+        assert verdict.unjudged == ()
+
+    @pytest.mark.xfail(strict=True, reason="the three-valued condition q > p^2, q = +-1 mod p "
+                       "claims a guarantee that this scenario breaks")
+    def test_three_valued_cover_is_not_a_violation(self):
+        assert not judge_run(THREE_VALUED_COVER).violated
+
+    def test_missed_detections_by_user_then_start(self):
+        # no events: every expected start is missed, users in scenario order
+        # (iterating the set {15, 600} of user 4's starts gives 600 first)
+        sc = scenario_from_json({
+            "p": 5, "q": 53, "variant": "mod", "duration": 2000,
+            "users": [{"id": 9, "g": 2, "sessions": [[700, 1000], [1300, 1700]]},
+                      {"id": 4, "g": 1, "sessions": [[15, 300], [600, 900]]},
+                      {"id": 7, "g": 3, "offset": 5}],
+        })
+        verdict = judge(sc, [])
+        assert verdict.errors == (
+            "missed detection: user 9 at start 700",
+            "missed detection: user 9 at start 1300",
+            "missed detection: user 4 at start 15",
+            "missed detection: user 4 at start 600",
+        )
+        assert verdict.unjudged == (7,)
+        assert verdict.level is GuaranteeLevel.GENERAL and verdict.violated
 
 
 class TestSlotMatrix:
