@@ -96,6 +96,12 @@ def hamming_correlation(a: BinarySequence, b: BinarySequence, tau: int) -> int:
     return int(np.dot(a.bits, np.roll(b.bits, tau % len(b))))
 
 
+def brute_spectrum(a: BinarySequence, b: BinarySequence) -> list[int]:
+    """hamming_correlation at every shift tau = 0..L-1: per-shift dot
+    products, no support tricks."""
+    return [hamming_correlation(a, b, tau) for tau in range(len(a))]
+
+
 def two_d_correlation(a: np.ndarray, b: np.ndarray, shift: GridPoint | tuple[int, int]) -> int:
     """Overlap count of two arrays with b translated by (row, col) cyclically.
 

@@ -26,7 +26,7 @@ from crtseq.channel import (
     simulate,
     throughput_lower_bound,
 )
-from oracles import activity_from_string, hamming_correlation, scenario_to_json
+from oracles import activity_from_string, brute_spectrum, hamming_correlation, scenario_to_json
 
 P35 = CrtParams(3, 5)
 
@@ -488,6 +488,17 @@ def test_exhaustive_pair_matches_enumeration(p, k):
         assert (rep.trials, rep.minimum, rep.maximum) == (trials, lo, hi), pair
         assert abs(rep.mean - mean) <= 1e-12, pair
         assert rep.mean == float(Fraction(2 * (p - 1), p * p))  # 2q(L - q)/L^2, rounded once
+
+
+def test_exhaustive_pair_matches_brute_spectrum():
+    # q = 274 and q^2 > 2^16: the spectrum kernel counts the pair in two row slices
+    params = construction_params(11, 25)
+    a, b = (generate_sequence(g, params) for g in (1, 2))
+    L = params.L
+    succ = [a.weight + b.weight - 2 * c for c in brute_spectrum(a, b)]
+    assert exhaustive_pair_throughput(11, 25, (1, 2)) == ThroughputReport(
+        L * L, min(succ) / L, float(Fraction(sum(succ), L * L)), max(succ) / L
+    )
 
 
 def three_user_counts(p, k, generators):

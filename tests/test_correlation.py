@@ -1,6 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,6 +37,7 @@ from crtseq.correlation import (
     predicted_distribution,
 )
 from oracles import (
+    brute_spectrum,
     characteristic_set,
     hamming_correlation,
     points_to_sequence,
@@ -40,11 +47,6 @@ from oracles import (
 
 P35 = CrtParams(3, 5)
 S = {g: generate_sequence(g, P35) for g in range(3)}
-
-
-def brute_spectrum(a: BinarySequence, b: BinarySequence) -> list[int]:
-    """Independent oracle: per-shift dot products, no support tricks."""
-    return [int(np.dot(a.bits, np.roll(b.bits, tau))) for tau in range(len(a))]
 
 
 class TestHammingCorrelation:
@@ -367,12 +369,12 @@ class TestEpsilonUniformity:
 
 
 def oracle_epsilon(sequences) -> Fraction:
-    """epsilon_uniformity read off one correlation_spectrum per pair."""
+    """epsilon_uniformity read off one brute_spectrum per pair."""
     best = Fraction(0)
     for a, b in combinations(sequences, 2):
-        spec = correlation_spectrum(a, b)
-        lo, hi = int(spec.values.min()), int(spec.values.max())
-        best = max(best, max(hi - spec.mean, spec.mean - lo) / spec.mean)
+        spec = brute_spectrum(a, b)
+        mean = Fraction(a.weight * b.weight, len(a))
+        best = max(best, max(max(spec) - mean, mean - min(spec)) / mean)
     return best
 
 
@@ -392,15 +394,24 @@ class TestSpectrumKernel:
     @given(rows=support_rows(), chunk=st.sampled_from([1, 5, 64, 1 << 16]))
     @settings(max_examples=150, deadline=None)
     def test_extremes_match_per_pair_spectra(self, rows, chunk):
-        # small chunks split the batch between pairs and inside one pair
+        # small chunks split the batch between pairs and one pair into row slices
         a, b, L = rows
+        pairs = [
+            (BinarySequence.from_support(x, L), BinarySequence.from_support(y, L))
+            for x, y in zip(a, b)
+        ]
+        spectra = [brute_spectrum(x, y) for x, y in pairs]
+        w = a.shape[1] * b.shape[1]
         with mock.patch.object(correlation, "_CHUNK", chunk):
-            lo, hi = correlation._spectrum_extremes(a, b, L)
-        for i in range(a.shape[0]):
-            spec = correlation_spectrum(
-                BinarySequence.from_support(a[i], L), BinarySequence.from_support(b[i], L)
-            ).values
-            assert (lo[i], hi[i]) == (spec.min(), spec.max())
+            for (x, y), spec in zip(pairs, spectra):
+                assert correlation_spectrum(x, y).values.tolist() == spec
+            if w == 0:
+                with pytest.raises(ValueError, match="zero-weight"):
+                    correlation._epsilon(a, b, L)
+                return
+            eps = correlation._epsilon(a, b, L)
+        lo, hi = min(map(min, spectra)), max(map(max, spectra))
+        assert eps == Fraction(max(hi * L - w, w - lo * L), w)
 
     def test_prime_family_spans_many_chunks(self):
         # 666 pairs of 37 x 37 differences: ~14 chunks of at most 2^16
@@ -409,10 +420,44 @@ class TestSpectrumKernel:
         a = np.stack([x.support() for x, _ in pairs])
         b = np.stack([y.support() for _, y in pairs])
         assert a.shape[0] * a.shape[1] * b.shape[1] > 13 * correlation._CHUNK
-        lo, hi = correlation._spectrum_extremes(a, b, 37 * 37)
         spectra = [correlation_spectrum(x, y).values for x, y in pairs]
-        assert lo.tolist() == [int(v.min()) for v in spectra]
-        assert hi.tolist() == [int(v.max()) for v in spectra]
+        lo, hi = min(int(v.min()) for v in spectra), max(int(v.max()) for v in spectra)
+        w, L = 37 * 37, 37 * 37
+        assert correlation._epsilon(a, b, L) == Fraction(max(hi * L - w, w - lo * L), w)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_large_pair_spectrum_in_bounded_memory(self):
+        # q = 5003: one 5003 x 5003 difference matrix is ~190 MiB of int64,
+        # one slice of the kernel 2^16 differences
+        probe = textwrap.dedent(
+            """
+            import json, resource
+            from crtseq.core import CrtParams, generate_sequence
+            from crtseq.correlation import (
+                correlation_spectrum, predicted_distribution, reduced_generator,
+            )
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            params = CrtParams(3, 5003)
+            spec = correlation_spectrum(
+                generate_sequence(1, params), generate_sequence(2, params)
+            )
+            grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            predicted = predicted_distribution(reduced_generator(1, 2, 3), params)
+            print(json.dumps([grown, spec.histogram == predicted]))
+            """
+        )
+        src = str(Path(correlation.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        grown_kib, histogram_matches = json.loads(out.stdout)
+        assert histogram_matches
+        assert grown_kib <= 64 * 1024
 
     @given(
         L=st.integers(2, 30),
