@@ -133,30 +133,27 @@ class Scenario:
         for u in self.users:
             if u.user_id not in _INT64:
                 raise ValueError(f"user {u.user_id}: id outside the int64 range")
-            for a, b in u.sessions or ():
+            sessions = u.sessions or ()
+            for prev, (a, b) in zip((None, *sessions), sessions):
                 for field, slot in (("start", a), ("end", b)):
                     if slot not in _INT64:
                         raise ValueError(
                             f"user {u.user_id}: session {field} {slot} outside the int64 range"
                         )
+                if a < 0 or b - a < L:
+                    raise ValueError(f"user {u.user_id}: session [{a},{b}) "
+                                     "shorter than one period")
+                if prev and a < prev[0]:
+                    raise ValueError(f"user {u.user_id}: sessions out of order: [{a},{b}) "
+                                     f"listed after [{prev[0]},{prev[1]})")
+                if prev and a - prev[1] < L:
+                    raise ValueError(f"user {u.user_id}: inter-session gap below one period")
             if not 0 <= u.generator < self.params.p:
                 raise ValueError(
                     f"user {u.user_id}: generator {u.generator} outside 0..{self.params.p - 1}"
                 )
             if u.offset is not None and not 0 <= u.offset < L:
                 raise ValueError(f"user {u.user_id}: offset {u.offset} outside 0..{L - 1}")
-            if u.sessions is not None:
-                prev_end = None
-                for a, b in u.sessions:
-                    if a < 0 or b - a < L:
-                        raise ValueError(
-                            f"user {u.user_id}: session [{a},{b}) shorter than one period"
-                        )
-                    if prev_end is not None and a - prev_end < L:
-                        raise ValueError(
-                            f"user {u.user_id}: inter-session gap below one period"
-                        )
-                    prev_end = b
 
     def resolved_offsets(self) -> dict[int, int]:
         """Offsets per user id, sampling unspecified permanent offsets from
@@ -416,34 +413,34 @@ def exhaustive_pair_throughput(p: int, k: int, generators: tuple[int, int]) -> T
 
 
 _JSON_TYPES = {int: "integer", str: "string", list: "array"}
+# key tables of the scenario objects: key -> (JSON type, default or ... if required)
+_SCENARIO_KEYS = {"p": (int, ...), "q": (int, ...), "variant": (str, "std"),
+                  "duration": (int, ...), "seed": (int, 0), "users": (list, ...)}
+_USER_KEYS = {"id": (int, ...), "g": (int, ...), "offset": (int, None), "sessions": (list, None)}
 
 
-def _json_field(obj, key: str, where: str, kind: type, required: bool = True):
-    """obj[key] checked to be of the JSON-decoded type ``kind`` (so no
-    booleans for int); a missing or null optional field reads None.  Any
-    defect raises ValueError naming the field."""
-    name = f"{where}.{key}" if where else key
+def _json_object(obj, where: str, keys: dict[str, tuple[type, object]]) -> dict:
+    """Each key of the table ``keys`` mapped to its value in the decoded JSON
+    object obj at path ``where``, or to its default if missing or null.  A
+    non-object, an unknown key (a misspelled optional field must not read as
+    absent), a missing field or a mistyped one (booleans are not integers)
+    raises ValueError naming it."""
     if not isinstance(obj, dict):
         raise ValueError(f"scenario {where or 'file'} must be a JSON object, got {obj!r:.60}")
-    value = obj.get(key)
-    if value is None:
-        if required:
-            raise ValueError(f"scenario lacks field {name!r}")
-        return None
-    if type(value) is not kind:
-        raise ValueError(
-            f"scenario field {name!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r:.60}"
-        )
-    return value
-
-
-def _json_keys(obj, where: str, *keys: str) -> None:
-    """ValueError naming a key of the JSON object obj that is not one of
-    keys, so that a misspelled optional field cannot read as absent."""
-    for key in obj if isinstance(obj, dict) else ():
+    prefix = f"{where}." if where else ""
+    for key in obj:
         if key not in keys:
-            name = f"{where}.{key}" if where else key
-            raise ValueError(f"scenario field {name!r} is not one of {', '.join(keys)}")
+            raise ValueError(f"scenario field {prefix + key!r} is not one of {', '.join(keys)}")
+    fields = {}
+    for key, (kind, default) in keys.items():
+        value = fields[key] = default if obj.get(key) is None else obj[key]
+        if value is ...:
+            raise ValueError(f"scenario lacks field {prefix + key!r}")
+        # type(default) lets a default through: no decoded value is None or ...
+        if type(value) not in (kind, type(default)):
+            raise ValueError(f"scenario field {prefix + key!r} must be a JSON "
+                             f"{_JSON_TYPES[kind]}, got {value!r:.60}")
+    return fields
 
 
 def _json_sessions(spans: list, where: str) -> tuple[tuple[int, int], ...]:
@@ -460,28 +457,17 @@ def scenario_from_json(obj: dict) -> Scenario:
     """Build a scenario from decoded JSON of the schema
     {p, q, variant, duration, seed, users:[{id, g, offset|null, sessions|null}]}.
 
-    A missing, mistyped or unknown field raises ValueError naming it.  A
-    repeated key is the decoder's to report: a decoded object holds one.
+    Each object is read against its key table: a missing, mistyped or
+    unknown field raises ValueError naming it.  A repeated key is the
+    decoder's to report: a decoded object holds one.
     """
-    _json_keys(obj, "", "p", "q", "variant", "duration", "seed", "users")
-    variant = _json_field(obj, "variant", "", str, required=False)
-    params = CrtParams(
-        _json_field(obj, "p", "", int),
-        _json_field(obj, "q", "", int),
-        Variant.STANDARD if variant is None else Variant.parse(variant),
-    )
+    top = _json_object(obj, "", _SCENARIO_KEYS)
+    params = CrtParams(top["p"], top["q"], Variant.parse(top["variant"]))
     users = []
-    for i, u in enumerate(_json_field(obj, "users", "", list)):
+    for i, u in enumerate(top["users"]):
         where = f"users[{i}]"
-        _json_keys(u, where, "id", "g", "offset", "sessions")
-        spans = _json_field(u, "sessions", where, list, required=False)
-        users.append(
-            UserSpec(
-                user_id=_json_field(u, "id", where, int),
-                generator=_json_field(u, "g", where, int),
-                offset=_json_field(u, "offset", where, int, required=False),
-                sessions=None if spans is None else _json_sessions(spans, where),
-            )
-        )
-    seed = _json_field(obj, "seed", "", int, required=False)
-    return Scenario(params, tuple(users), _json_field(obj, "duration", "", int), seed or 0)
+        user = _json_object(u, where, _USER_KEYS)
+        spans = user["sessions"]
+        users.append(UserSpec(user["id"], user["g"], user["offset"],
+                              None if spans is None else _json_sessions(spans, where)))
+    return Scenario(params, tuple(users), top["duration"], top["seed"])

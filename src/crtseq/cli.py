@@ -89,7 +89,7 @@ def _cmd_correlate(args) -> int:
         "histogram_predicted": None
         if predicted is None
         else {str(j): n for j, n in predicted.items()},
-        "epsilon": _frac(correlation.pairwise_epsilon(a, b)),
+        "epsilon": _frac(spec.epsilon),
     }
     text = json.dumps(payload, indent=2)
     if args.out:
@@ -260,7 +260,8 @@ def _cmd_sync(args) -> int:
 
 def _load_payloads(path: str) -> dict[int, np.ndarray]:
     """Generator -> information symbols from a JSON object
-    {"<generator>": [symbol, ...], ...}; a malformed file raises ValueError."""
+    {"<generator>": [symbol, ...], ...}; a malformed file raises ValueError.
+    The symbols' values are ``ErasureCode.encode``'s to check."""
     payloads = {}
     for key, symbols in _read_json(path, "payload").items():
         try:
@@ -272,10 +273,10 @@ def _load_payloads(path: str) -> dict[int, np.ndarray]:
         if g in payloads:
             raise ValueError(f"payload file {path}: key {key!r} names generator {g} again")
         if not isinstance(symbols, list) or not all(
-            type(x) is int and 0 <= x < 2**63 for x in symbols
+            type(x) is int and -(2**63) <= x < 2**63 for x in symbols
         ):
             raise ValueError(
-                f"payload file {path}: generator {key} must be an array of non-negative "
+                f"payload file {path}: generator {key} must be an array of 64-bit "
                 f"integers, got {symbols!r:.60}"
             )
         payloads[g] = np.asarray(symbols, dtype=np.int64)
@@ -291,23 +292,11 @@ def _cmd_session(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         offs = tuple(int(x) for x in rng.integers(0, params.L, size=len(gens)))
-    payloads = None
-    if args.payload:
-        payloads = _load_payloads(args.payload)
-        missing = [g for g in gens if g not in payloads]
-        if missing:
-            raise ValueError(f"payload file {args.payload} lacks symbols for users {missing}")
-        spec = erasure.CodeSpec.for_protocol(args.p, args.k)
-        for g in gens:
-            symbols = payloads[g]
-            if symbols.size != spec.dim:
-                raise ValueError(f"payload file {args.payload}: generator {g} has "
-                                 f"{symbols.size} symbols, expected {spec.dim}")
-            bad = symbols[symbols >= spec.field_order]
-            if bad.size:
-                raise ValueError(f"payload file {args.payload}: generator {g}: symbol "
-                                 f"{bad[0]} outside GF({spec.field_order})")
-    report = erasure.session_roundtrip(args.p, args.k, gens, offs, payloads, seed=args.seed)
+    payloads = _load_payloads(args.payload) if args.payload else None
+    try:
+        report = erasure.session_roundtrip(args.p, args.k, gens, offs, payloads, seed=args.seed)
+    except erasure.PayloadError as exc:
+        raise ValueError(f"payload file {args.payload}: {exc}") from None
     payload = {
         "p": args.p,
         "k": args.k,

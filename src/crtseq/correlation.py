@@ -70,6 +70,12 @@ class CorrelationSpectrum:
         """Shift-averaged correlation, exactly weight_a*weight_b / L."""
         return Fraction(self.weight_a * self.weight_b, self.length)
 
+    @property
+    def epsilon(self) -> Fraction:
+        """Largest relative deviation of the spectrum from its mean."""
+        return _deviation(int(self.values.min()), int(self.values.max()),
+                          self.weight_a * self.weight_b, self.length)
+
 
 def correlation_spectrum(a: BinarySequence, b: BinarySequence) -> CorrelationSpectrum:
     """Exact spectrum for every shift, by direct difference counting.
@@ -257,18 +263,21 @@ def _count_spectra(a_supports: np.ndarray, b_supports: np.ndarray, L: int) -> np
     return counts.reshape(m, L)
 
 
-def _epsilon(a_supports: np.ndarray, b_supports: np.ndarray, L: int) -> Fraction:
-    """Largest relative deviation over the row pairs, all of weights
-    (w_a, w_b): the mean correlation is w_a*w_b / L, so the deviation of
-    the extremes lo, hi of all their spectra relative to it is
-    max(hi*L - w_a*w_b, w_a*w_b - lo*L) / (w_a*w_b).
-
-    The pairs are counted in chunks of at most _CHUNK differences and
-    _CHUNK counters, each reduced to its extremes before the next."""
-    n = a_supports.shape[0]
-    w = a_supports.shape[1] * b_supports.shape[1]
+def _deviation(lo: int, hi: int, w: int, L: int) -> Fraction:
+    """max(hi*L - w, w - lo*L) / w: the largest relative deviation of spectra
+    with extremes lo, hi from their mean w / L, w = w_a*w_b."""
     if w == 0:
         raise ValueError("epsilon is undefined for zero-weight sequences")
+    return Fraction(max(hi * L - w, w - lo * L), w)
+
+
+def _epsilon(a_supports: np.ndarray, b_supports: np.ndarray, L: int) -> Fraction:
+    """Largest relative deviation (``_deviation``) over the row pairs, all
+    of weights (w_a, w_b).  The pairs are counted in chunks of at most
+    _CHUNK differences and _CHUNK counters, each reduced to its extremes
+    before the next."""
+    n = a_supports.shape[0]
+    w = a_supports.shape[1] * b_supports.shape[1]
     pairs = max(1, _CHUNK // max(w, L))
     lo, hi = w, 0
     for start in range(0, n, pairs):
@@ -276,15 +285,13 @@ def _epsilon(a_supports: np.ndarray, b_supports: np.ndarray, L: int) -> Fraction
             a_supports[start : start + pairs], b_supports[start : start + pairs], L
         )
         lo, hi = min(lo, int(counts.min())), max(hi, int(counts.max()))
-    return Fraction(max(hi * L - w, w - lo * L), w)
+    return _deviation(lo, hi, w, L)
 
 
 def pairwise_epsilon(a: BinarySequence, b: BinarySequence) -> Fraction:
     """Largest relative deviation of the pair's correlation from its
     shift-averaged mean, as an exact rational."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return _epsilon(a.support()[None], b.support()[None], len(a))
+    return correlation_spectrum(a, b).epsilon
 
 
 def epsilon_uniformity(sequences: Sequence[BinarySequence]) -> Fraction:

@@ -35,6 +35,7 @@ __all__ = [
     "CodeSpec",
     "ErasureCode",
     "DecodeFailure",
+    "PayloadError",
     "session_roundtrip",
     "SessionReport",
 ]
@@ -165,6 +166,10 @@ class DecodeFailure(Exception):
     """Too many erasures: recovery is impossible, not silently wrong."""
 
 
+class PayloadError(ValueError):
+    """A session payload that is absent or that ``ErasureCode.encode`` rejects."""
+
+
 class ErasureCode:
     """Systematic MDS erasure code: first dim symbols are the information."""
 
@@ -178,14 +183,19 @@ class ErasureCode:
         )
 
     def encode(self, info) -> np.ndarray:
+        """The codeword of the information symbols ``info``.  This is the
+        one check of symbols to be sent: ValueError unless ``info`` holds
+        dim bools or integers in a 1-D array, all in the field."""
         info = np.asarray(info)
         if info.shape != (self.spec.dim,):
-            raise ValueError(f"expected {self.spec.dim} information symbols")
+            raise ValueError(f"expected {self.spec.dim} symbols in a 1-D array, "
+                             f"got shape {info.shape}")
         if info.dtype.kind not in "biu":  # the cast would cut 1.7 to 1, and overflow on 2**70
             raise ValueError(f"symbols must be integers, got dtype {info.dtype}")
+        bad = info[(info < 0) | (info >= self.spec.field_order)]  # before a cast can wrap them
+        if bad.size:
+            raise ValueError(f"symbol {bad[0]} outside GF({self.spec.field_order})")
         info = info.astype(np.int64)
-        if info.size and (info.min() < 0 or info.max() >= self.spec.field_order):
-            raise ValueError("symbols outside the field")
         return np.concatenate([info, self.field.log_matvec(self._parity_logs, info)])
 
     def decode(self, received, erased) -> np.ndarray:
@@ -263,6 +273,9 @@ def session_roundtrip(
     packets at positions the receiver knows (offsets are known after
     synchronization).  With at most (p+1)/2 active users every user decodes,
     and the information throughput is exactly users * dim / (p*q).
+
+    This is the one check of given payloads: a generator without one, or one
+    that ``ErasureCode.encode`` rejects, raises PayloadError naming it.
     """
     params = session_params(p, k)
     if len(generators) != len(offsets):
@@ -286,7 +299,7 @@ def session_roundtrip(
         }
     missing = [g for g in generators if g not in payloads]
     if missing:
-        raise ValueError(f"no payload for generator {missing[0]}")
+        raise PayloadError(f"no payload for generator {missing[0]}")
 
     L = params.L
     # j-th one of the schedule (in sequence order) carries codeword symbol j
@@ -301,7 +314,10 @@ def session_roundtrip(
     recovered_ok: dict[int, bool] = {}
     erasure_counts: dict[int, int] = {}
     for g in generators:
-        word = code.encode(payloads[g])
+        try:
+            word = code.encode(payloads[g])
+        except ValueError as exc:
+            raise PayloadError(f"generator {g}: {exc}") from None
         erased = counts[slot_lists[g]] >= 2
         erasure_counts[g] = int(erased.sum())
         try:

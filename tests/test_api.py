@@ -33,7 +33,7 @@ PUBLIC = {
     ],
     "crtseq.erasure": [
         "GF", "PRIMITIVE_POLYS", "session_params", "code_dimension", "CodeSpec",
-        "ErasureCode", "DecodeFailure", "session_roundtrip", "SessionReport",
+        "ErasureCode", "DecodeFailure", "PayloadError", "session_roundtrip", "SessionReport",
     ],
     "crtseq.baselines": ["BaselineFamily", "prime_sequences", "extended_prime_sequences"],
 }

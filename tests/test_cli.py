@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtseq import channel, cli, sync
+from crtseq import channel, cli, correlation, sync
 from crtseq.cli import main
 from crtseq.core import CrtParams, generate_sequence
 from crtseq.correlation import correlation_spectrum
@@ -114,6 +114,14 @@ class TestCorrelate:
         assert payload["histogram_bruteforce"] == {"1": 7, "2": 6, "3": 2}
         assert payload["histogram_predicted"] == {"1": 7, "2": 6, "3": 2}
         assert payload["epsilon"] == "4/5"
+
+    def test_counts_the_pair_once(self, capsys):
+        # the spectrum and epsilon come from one run of the spectrum kernel
+        with mock.patch.object(correlation, "_count_spectra",
+                               side_effect=correlation._count_spectra) as kernel:
+            assert main(["correlate", "--p", "3", "--q", "5", "--g", "2", "--h", "1"]) == 0
+        assert kernel.call_count == 1
+        assert json.loads(capsys.readouterr().out)["epsilon"] == "4/5"
 
     def test_handles_generator_zero_pair(self, capsys):
         assert main(["correlate", "--p", "3", "--q", "5", "--g", "0", "--h", "2"]) == 0
@@ -313,6 +321,28 @@ class TestSync:
         lines = out.read_text().splitlines()
         assert "295,activated,1,40" in lines
         assert "255,activated,2,0" in lines
+
+    # one user's two sessions at (5, 51), L = 255: listed in reverse, or in
+    # order 200 < L slots apart, they exit 2; in order 300 >= L apart they run
+    @pytest.mark.parametrize(
+        ("sessions", "message"),
+        [([[600, 900], [10, 300]], "user 1: sessions out of order: [10,300) listed after "
+                                   "[600,900)"),
+         ([[10, 300], [500, 900]], "user 1: inter-session gap below one period")],
+        ids=["out-of-order", "short-gap"],
+    )
+    def test_sessions_out_of_order_or_too_close(self, tmp_path, capsys, sessions, message):
+        scenario = {"p": 5, "q": 51, "variant": "mod", "duration": 1000,
+                    "users": [{"id": 1, "g": 1, "sessions": sessions}]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["sync", "--scenario", str(path), "--emit", str(tmp_path / "e.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        scenario["users"][0]["sessions"] = [[10, 300], [600, 900]]
+        path.write_text(json.dumps(scenario))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "3 events, guarantee: general\n"
 
 
 def _sync(tmp_path, users, duration=1200):
@@ -633,25 +663,50 @@ def _edited(value, *path):
     return obj
 
 
+# (scenario, the whole message of its error line, {path} standing for the
+# file's path), one defect each; the explicit ids keep each case's test name
+# stable, as the message is part of an automatic id
 MALFORMED_SCENARIOS = [
-    ([FAILURE_SCENARIO], "JSON object"),
-    (58, "JSON object"),
-    (_edited(DELETE, "p"), "'p'"),
-    (_edited(DELETE, "duration"), "'duration'"),
-    (_edited(DELETE, "users"), "'users'"),
-    (_edited(DELETE, "users", 2, "g"), "'users[2].g'"),
-    (_edited(DELETE, "users", 0, "id"), "'users[0].id'"),
-    (_edited("58", "duration"), "'duration'"),
-    (_edited(7.5, "q"), "'q'"),
-    (_edited(True, "p"), "'p'"),
-    (_edited(3, "variant"), "'variant'"),
-    (_edited({"id": 1}, "users"), "'users'"),
-    (_edited(5, "users", 1), "users[1]"),
-    (_edited("0", "users", 3, "offset"), "'users[3].offset'"),
-    (_edited([[10]], "users", 4, "sessions"), "'users[4].sessions[0]'"),
+    pytest.param([FAILURE_SCENARIO], "scenario file {path} must be a JSON object, got "
+                 "[{'p': 7, 'q': 8, 'variant': 'mod', 'duration': 58, 'seed': ",
+                 id="scenario0-JSON object"),
+    pytest.param(58, "scenario file {path} must be a JSON object, got 58", id="58-JSON object"),
+    pytest.param(_edited(DELETE, "p"), "scenario lacks field 'p'", id="scenario2-'p'"),
+    pytest.param(_edited(DELETE, "duration"), "scenario lacks field 'duration'",
+                 id="scenario3-'duration'"),
+    pytest.param(_edited(DELETE, "users"), "scenario lacks field 'users'",
+                 id="scenario4-'users'"),
+    pytest.param(_edited(DELETE, "users", 2, "g"), "scenario lacks field 'users[2].g'",
+                 id="scenario5-'users[2].g'"),
+    pytest.param(_edited(DELETE, "users", 0, "id"), "scenario lacks field 'users[0].id'",
+                 id="scenario6-'users[0].id'"),
+    pytest.param(_edited("58", "duration"),
+                 "scenario field 'duration' must be a JSON integer, got '58'",
+                 id="scenario7-'duration'"),
+    pytest.param(_edited(7.5, "q"), "scenario field 'q' must be a JSON integer, got 7.5",
+                 id="scenario8-'q'"),
+    pytest.param(_edited(True, "p"), "scenario field 'p' must be a JSON integer, got True",
+                 id="scenario9-'p'"),
+    pytest.param(_edited(3, "variant"), "scenario field 'variant' must be a JSON string, got 3",
+                 id="scenario10-'variant'"),
+    pytest.param(_edited({"id": 1}, "users"),
+                 "scenario field 'users' must be a JSON array, got {'id': 1}",
+                 id="scenario11-'users'"),
+    pytest.param(_edited(5, "users", 1), "scenario users[1] must be a JSON object, got 5",
+                 id="scenario12-users[1]"),
+    pytest.param(_edited("0", "users", 3, "offset"),
+                 "scenario field 'users[3].offset' must be a JSON integer, got '0'",
+                 id="scenario13-'users[3].offset'"),
+    pytest.param(_edited([[10]], "users", 4, "sessions"),
+                 "scenario field 'users[4].sessions[0]' must be a [start, end] pair of "
+                 "integers, got [10]", id="scenario14-'users[4].sessions[0]'"),
     # numbers outside int64, named with their user and field
-    (_edited(2**70, "users", 0, "id"), "user 1180591620717411303424: id outside the int64"),
-    (_edited(-(2**63) - 1, "users", 0, "id"), "id outside the int64 range"),
+    pytest.param(_edited(2**70, "users", 0, "id"),
+                 "user 1180591620717411303424: id outside the int64 range",
+                 id="scenario15-user 1180591620717411303424: id outside the int64"),
+    pytest.param(_edited(-(2**63) - 1, "users", 0, "id"),
+                 "user -9223372036854775809: id outside the int64 range",
+                 id="scenario16-id outside the int64 range"),
     (_edited({"id": 6, "g": 6, "sessions": [[10**30, 10**30 + 56]]}, "users", 4),
      "user 6: session start 1000000000000000000000000000000 outside the int64 range"),
     (_edited({"id": 6, "g": 6, "sessions": [[10, 2**64]]}, "users", 4),
@@ -670,23 +725,21 @@ MALFORMED_SCENARIOS = [
     # dict cannot hold it)
     pytest.param(json.dumps(FAILURE_SCENARIO).replace('"duration": 58', '"duration": 58, '
                                                       '"duration": 3000'),
-                 "repeated JSON key 'duration'", id="repeated-duration"),
+                 "scenario file {path}: repeated JSON key 'duration'", id="repeated-duration"),
     pytest.param(json.dumps(FAILURE_SCENARIO).replace('"g": 1,', '"g": 1, "g": 5,'),
-                 "repeated JSON key 'g'", id="repeated-g"),
+                 "scenario file {path}: repeated JSON key 'g'", id="repeated-g"),
 ]
 
 
 @pytest.mark.parametrize("command", ["simulate", "sync"])
-@pytest.mark.parametrize(("scenario", "named"), MALFORMED_SCENARIOS)
-def test_malformed_scenario_is_usage_error(tmp_path, capsys, command, scenario, named):
+@pytest.mark.parametrize(("scenario", "message"), MALFORMED_SCENARIOS)
+def test_malformed_scenario_is_usage_error(tmp_path, capsys, command, scenario, message):
     path = tmp_path / "scenario.json"
     path.write_text(scenario if isinstance(scenario, str) else json.dumps(scenario))
     out_flag = "--out" if command == "simulate" else "--emit"
     code = main([command, "--scenario", str(path), out_flag, str(tmp_path / "out.csv")])
-    err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and named in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {message.replace('{path}', str(path))}\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "sync"])
@@ -711,7 +764,8 @@ def test_json_string_scenario_is_not_decoded_twice(tmp_path, capsys, command):
         ({"1": list(range(14)), "2": [1.5] * 14}, "generator 2"),
         ({"1": list(range(14)), "2": [2**70] * 14}, "generator 2"),
         ({"1": [[1, 2]] * 7, "2": [5] * 14}, "generator 1"),
-        ({"1": [0] * 3, "2": [5] * 14}, "payload.json: generator 1 has 3 symbols, expected 14"),
+        ({"1": [0] * 3, "2": [5] * 14},
+         "payload.json: generator 1: expected 14 symbols in a 1-D array, got shape (3,)"),
         ({"1": list(range(14)), "2": [5] * 13 + [99]},
          "payload.json: generator 2: symbol 99 outside GF(32)"),
         # an entry that a later one would hide, its symbols outside GF(32):
@@ -724,7 +778,11 @@ def test_json_string_scenario_is_not_decoded_twice(tmp_path, capsys, command):
         ({"1": list(range(14)), "x": [5] * 14},
          "payload.json: key 'x' is not a generator number"),
         ({"1": list(range(14)), "2": 5}, "payload.json: generator 2 must be an array"),
-        ({"1": list(range(14))}, "payload.json lacks symbols for users [2]"),
+        ({"1": list(range(14))}, "payload.json: no payload for generator 2"),
+        ({"1": list(range(14)), "2": [5] * 13 + [-1]},
+         "payload.json: generator 2: symbol -1 outside GF(32)"),
+        ({"1": list(range(14)), "2": [5] * 13 + [2**63]},
+         "payload.json: generator 2 must be an array of 64-bit integers"),
     ],
 )
 def test_malformed_payload_is_usage_error(tmp_path, capsys, payload, named):

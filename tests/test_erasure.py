@@ -13,6 +13,7 @@ from crtseq.erasure import (
     DecodeFailure,
     ErasureCode,
     GF,
+    PayloadError,
     code_dimension,
     session_params,
     session_roundtrip,
@@ -120,8 +121,20 @@ class TestErasureCode:
             SMALL.decode(word, erased)
 
     def test_symbols_must_fit_the_field(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^symbol 9 outside GF\(8\)$"):
             SMALL.encode(np.array([1, 2, 9]))
+
+    def test_symbol_is_checked_before_the_int64_cast(self):
+        # 2**63 as uint64 would wrap to a negative int64
+        with pytest.raises(ValueError, match=r"^symbol 9223372036854775808 outside GF\(8\)$"):
+            SMALL.encode(np.array([1, 2**63, 3], dtype=np.uint64))
+
+    @pytest.mark.parametrize(("info", "shape"), [([1, 2], "(2,)"), ([[1, 2, 3]], "(1, 3)")],
+                             ids=["short", "2-D"])
+    def test_information_word_must_be_dim_symbols(self, info, shape):
+        with pytest.raises(ValueError) as raised:
+            SMALL.encode(info)
+        assert str(raised.value) == f"expected 3 symbols in a 1-D array, got shape {shape}"
 
     @pytest.mark.parametrize("bad", [-3, 8, 40])
     def test_received_symbols_must_fit_the_field(self, bad):
@@ -331,13 +344,24 @@ class TestSessionRoundtrip:
             assert report.margins[g] == 1 - report.erasure_counts[g] < 0
 
     def test_missing_payload_rejected(self):
-        with pytest.raises(ValueError, match="no payload for generator 2"):
+        with pytest.raises(PayloadError, match="^no payload for generator 2$"):
             session_roundtrip(5, 5, (1, 2), (0, 9), payloads={1: np.arange(14)})
 
     def test_non_integer_payload_rejected(self):
         # a cast to int64 would send 1.7 as 1 and report a failed recovery
-        with pytest.raises(ValueError, match="symbols must be integers"):
+        with pytest.raises(PayloadError, match="^generator 1: symbols must be integers"):
             session_roundtrip(5, 5, (1, 2), (0, 9), payloads={1: [1.7] * 14, 2: np.arange(14)})
+
+    # every payload defect that encode finds, named with its generator
+    @pytest.mark.parametrize(("bad", "message"), [
+        (np.arange(13), "generator 4: expected 14 symbols in a 1-D array, got shape (13,)"),
+        (np.full(14, 32), "generator 4: symbol 32 outside GF(32)"),
+        (np.full(14, -1), "generator 4: symbol -1 outside GF(32)"),
+    ], ids=["size", "above-field", "negative"])
+    def test_payload_rejected_by_encode_names_generator(self, bad, message):
+        with pytest.raises(PayloadError) as raised:
+            session_roundtrip(5, 5, (1, 4), (0, 9), payloads={1: np.arange(14), 4: bad})
+        assert str(raised.value) == message
 
     def test_too_many_users_rejected(self):
         with pytest.raises(ValueError):
