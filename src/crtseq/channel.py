@@ -183,16 +183,17 @@ class Scenario:
 class ChannelTrace:
     """Outcome of a simulation run.
 
-    ``n_senders[t]`` counts slot t's transmitters; ``transmission_slot``/``transmission_sender``
-    hold every transmission's (slot, user) pair, sorted by slot, then user.
+    ``n_senders[t]`` counts slot t's transmitters; ``transmission_slot``/``transmission_rank``
+    hold every transmission's (slot, sender rank) pair, sorted by slot, then
+    rank; ``ids`` holds every user's id in ascending order, so rank r is user
+    ``ids[r]``.
     """
 
     duration: int
     n_senders: np.ndarray
     transmission_slot: np.ndarray
-    transmission_sender: np.ndarray
-    sent: dict[int, int]
-    succeeded: dict[int, int]
+    transmission_rank: np.ndarray
+    ids: np.ndarray
 
     @property
     def total_successes(self) -> int:
@@ -225,10 +226,9 @@ def simulate(scenario: Scenario) -> ChannelTrace:
     scenario (the seed only feeds unspecified offsets)."""
     duration, spans = scenario.duration, scenario.spans()
     users = sorted((u.user_id, u.generator) for u in scenario.users)
-    m = max(len(users), 1)
     # each transmission is the key (slot << bits) | rank of its sender's id,
     # so one sort orders them by slot, then id
-    bits = (m - 1).bit_length()
+    bits = max(len(users) - 1, 0).bit_length()
     key = np.concatenate([np.empty(0, dtype=np.int64)] + [
         _transmission_slots(generate_sequence(g, scenario.params), spans[uid], duration) << bits
         | rank
@@ -237,15 +237,12 @@ def simulate(scenario: Scenario) -> ChannelTrace:
     key.sort()
     rank = key & ((1 << bits) - 1)
     slot = np.right_shift(key, bits, out=key)
-    counts = np.bincount(slot, minlength=duration)
-    ids = [uid for uid, _ in users]
     return ChannelTrace(
         duration=duration,
-        n_senders=counts,
+        n_senders=np.bincount(slot, minlength=duration),
         transmission_slot=slot,
-        transmission_sender=np.array(ids, dtype=np.int64)[rank],
-        sent=dict(zip(ids, np.bincount(rank, minlength=m).tolist())),
-        succeeded=dict(zip(ids, np.bincount(rank[counts[slot] == 1], minlength=m).tolist())),
+        transmission_rank=rank,
+        ids=np.array([uid for uid, _ in users], dtype=np.int64),
     )
 
 

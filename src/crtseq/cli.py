@@ -150,23 +150,21 @@ def _low_digits() -> np.ndarray:
 def _trace_csv_blocks(trace: channel.ChannelTrace) -> Iterator[bytes]:
     """trace.csv bytes in blocks of at most ``_CSV_BLOCK_SLOTS`` slots."""
     yield b"slot,outcome,sender\n"
-    ids = np.array(sorted(trace.sent), dtype=np.int64)
     # row 2i: the decimal name of the sender of rank i and '+', row 2i + 1:
     # its name and a newline; one NUL-padded record width for the file
     # holds these and every row head
-    names = [b"%d%c" % (u, end) for u in ids.tolist() for end in b"+\n"]
+    names = [b"%d%c" % (u, end) for u in trace.ids.tolist() for end in b"+\n"]
     high_digits = len(str((trace.duration - 1) // _LOW)) if trace.duration > _LOW else 0
     width = max([high_digits + 4 + max(map(len, _OUTCOME_WORDS)), *map(len, names)])
     names = np.array(names, dtype=f"S{width}").view(f"V{width}")
     lo = 0
     while lo < trace.duration:
         hi = min(lo + _CSV_BLOCK_SLOTS, (lo // _LOW + 1) * _LOW, trace.duration)
-        yield _trace_csv_block(trace, ids, names, lo, hi)
+        yield _trace_csv_block(trace, names, lo, hi)
         lo = hi
 
 
-def _trace_csv_block(trace: channel.ChannelTrace, ids: np.ndarray, names: np.ndarray,
-                     lo: int, hi: int) -> bytes:
+def _trace_csv_block(trace: channel.ChannelTrace, names: np.ndarray, lo: int, hi: int) -> bytes:
     """Rows lo..hi-1 of trace.csv, slots that share their digits above the
     last four.  Each row head (slot digits and outcome word) and each
     transmission (sender name, then '+' or a newline) is one NUL-padded
@@ -176,7 +174,7 @@ def _trace_csv_block(trace: channel.ChannelTrace, ids: np.ndarray, names: np.nda
     n = trace.n_senders[lo:hi]
     first, last = np.searchsorted(trace.transmission_slot, [lo, hi])
     row = trace.transmission_slot[first:last] - lo
-    sender = trace.transmission_sender[first:last]
+    rank = trace.transmission_rank[first:last]
 
     # the three heads, by min(n, 2): the digits above the last four, room
     # for those four, the outcome word
@@ -192,9 +190,7 @@ def _trace_csv_block(trace: channel.ChannelTrace, ids: np.ndarray, names: np.nda
     # transmission j of row r follows r + 1 heads and j earlier
     # transmissions; a row's last sender ends it with a newline
     last_of_row = np.diff(row, append=n.size) != 0
-    records[row + np.arange(sender.size) + 1] = names.take(
-        2 * np.searchsorted(ids, sender) + last_of_row
-    )
+    records[row + np.arange(rank.size) + 1] = names.take(2 * rank + last_of_row)
     flat = records.view(np.uint8)
     return flat[flat != 0].tobytes()
 

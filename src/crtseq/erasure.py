@@ -167,7 +167,8 @@ class DecodeFailure(Exception):
 
 
 class PayloadError(ValueError):
-    """A session payload that is absent or that ``ErasureCode.encode`` rejects."""
+    """A session payload that is absent, that names a generator that is not
+    active, or that ``ErasureCode.encode`` rejects."""
 
 
 class ErasureCode:
@@ -274,8 +275,9 @@ def session_roundtrip(
     synchronization).  With at most (p+1)/2 active users every user decodes,
     and the information throughput is exactly users * dim / (p*q).
 
-    This is the one check of given payloads: a generator without one, or one
-    that ``ErasureCode.encode`` rejects, raises PayloadError naming it.
+    This is the one check of given payloads: a generator without one, a
+    payload for a generator that is not active, or one that
+    ``ErasureCode.encode`` rejects, raises PayloadError naming the generator.
     """
     params = session_params(p, k)
     if len(generators) != len(offsets):
@@ -300,6 +302,9 @@ def session_roundtrip(
     missing = [g for g in generators if g not in payloads]
     if missing:
         raise PayloadError(f"no payload for generator {missing[0]}")
+    extra = [g for g in payloads if g not in generators]
+    if extra:
+        raise PayloadError(f"payload for generator {extra[0]}, which is not active")
 
     L = params.L
     # j-th one of the schedule (in sequence order) carries codeword symbol j

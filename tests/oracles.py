@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from crtseq.channel import COLLISION, IDLE, SUCCESS, ActivitySignal, Scenario
+from crtseq.channel import COLLISION, IDLE, SUCCESS, ActivitySignal, ChannelTrace, Scenario
 from crtseq.core import BinarySequence, CrtParams, GridPoint, Variant, crt_inverse, crt_map
 from crtseq.erasure import GF
 
@@ -132,6 +132,19 @@ def activity_from_string(text: str) -> ActivitySignal:
         at = next(i for i, ch in enumerate(text) if ch not in "01*")
         raise ValueError(f"activity character {text[at]!r} at position {at} is not 0, 1 or *")
     return ActivitySignal(codes)
+
+
+def user_counts(trace: ChannelTrace) -> tuple[dict[int, int], dict[int, int]]:
+    """Each user's sent and succeeded transmissions in trace, by id, one
+    transmission at a time: a transmission succeeds when it is alone in its
+    slot."""
+    ids = trace.ids.tolist()
+    sent = dict.fromkeys(ids, 0)
+    succeeded = dict(sent)
+    for t, r in zip(trace.transmission_slot.tolist(), trace.transmission_rank.tolist()):
+        sent[ids[r]] += 1
+        succeeded[ids[r]] += int(trace.n_senders[t] == 1)
+    return sent, succeeded
 
 
 def scenario_to_json(sc: Scenario) -> dict:

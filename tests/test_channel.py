@@ -26,7 +26,13 @@ from crtseq.channel import (
     simulate,
     throughput_lower_bound,
 )
-from oracles import activity_from_string, brute_spectrum, hamming_correlation, scenario_to_json
+from oracles import (
+    activity_from_string,
+    brute_spectrum,
+    hamming_correlation,
+    scenario_to_json,
+    user_counts,
+)
 
 P35 = CrtParams(3, 5)
 
@@ -77,11 +83,15 @@ def assert_matches_definition(scenario):
     outcomes = [outcome(s) for s in per_slot]
     assert trace.n_senders.tolist() == [len(s) for s in per_slot]
     pairs = [(t, u) for t, senders in enumerate(per_slot) for u in senders]
-    assert trace.transmission_slot.dtype == trace.transmission_sender.dtype == np.int64
-    assert list(zip(trace.transmission_slot.tolist(), trace.transmission_sender.tolist())) == pairs
+    for a in (trace.transmission_slot, trace.transmission_rank, trace.ids):
+        assert a.dtype == np.int64
     ids = [u.user_id for u in scenario.users]
-    assert trace.sent == {u: sum(u in s for s in per_slot) for u in ids}
-    assert trace.succeeded == {u: outcomes.count(("success", u)) for u in ids}
+    assert trace.ids.tolist() == sorted(ids)
+    senders = trace.ids[trace.transmission_rank]
+    assert list(zip(trace.transmission_slot.tolist(), senders.tolist())) == pairs
+    sent, succeeded = user_counts(trace)
+    assert sent == {u: sum(u in s for s in per_slot) for u in ids}
+    assert succeeded == {u: outcomes.count(("success", u)) for u in ids}
     return outcomes
 
 
@@ -203,7 +213,7 @@ class TestSimulate:
             sc = perm_scenario(P35, [(1, 1, off)], 15)
             trace = simulate(sc)
             assert trace.system_throughput == Fraction(1, 3)
-            assert trace.succeeded[1] == 5 and trace.sent[1] == 5
+            assert user_counts(trace) == ({1: 5}, {1: 5})
 
     def test_single_user_signal_mirrors_sequence(self):
         sc = perm_scenario(P35, [(7, 1, 0)], 15)
@@ -218,31 +228,29 @@ class TestSimulate:
         sc = perm_scenario(P35, [(1, 1, 0), (2, 2, 0)], 15)
         trace = simulate(sc)
         assert trace.total_successes == 6  # each weight 5, overlap 2 at zero offset
-        assert trace.succeeded == {1: 3, 2: 3}
+        assert user_counts(trace)[1] == {1: 3, 2: 3}
 
     def test_per_user_successes_match_correlation(self):
         params = CrtParams(5, 9)
         s1, s3 = generate_sequence(1, params), generate_sequence(3, params)
         for off in (0, 11, 40):
             sc = perm_scenario(params, [(1, 1, 0), (3, 3, off)], params.L)
-            trace = simulate(sc)
             overlap = hamming_correlation(s1, delayed(s3, off), 0)
-            assert trace.succeeded[1] == 9 - overlap
-            assert trace.succeeded[3] == 9 - overlap
+            assert user_counts(simulate(sc))[1] == {1: 9 - overlap, 3: 9 - overlap}
 
     def test_three_user_successes_bounded_by_pairwise_overlaps(self):
         params = CrtParams(5, 9)
         seqs = {g: generate_sequence(g, params) for g in (1, 2, 3)}
         offs = {1: 0, 2: 13, 3: 31}
         sc = perm_scenario(params, [(g, g, off) for g, off in offs.items()], params.L)
-        trace = simulate(sc)
+        succeeded = user_counts(simulate(sc))[1]
         for g in offs:
             lost_at_most = sum(
                 hamming_correlation(delayed(seqs[g], offs[g]), delayed(seqs[h], offs[h]), 0)
                 for h in offs
                 if h != g
             )
-            assert 9 - lost_at_most <= trace.succeeded[g] <= 9
+            assert 9 - lost_at_most <= succeeded[g] <= 9
 
     def test_offset_delays_the_schedule(self):
         sc = perm_scenario(P35, [(1, 1, 2)], 15)
@@ -275,8 +283,7 @@ class TestSimulate:
 
     def test_session_clipped_by_duration(self):
         sc = Scenario(P35, (UserSpec(1, 0, None, ((0, 30),)),), 20)
-        trace = simulate(sc)
-        assert trace.sent[1] == 5 + 2  # full period plus ones at 15, 18
+        assert user_counts(simulate(sc))[0] == {1: 5 + 2}  # full period plus ones at 15, 18
 
 
 class TestBounds:

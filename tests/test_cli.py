@@ -226,7 +226,7 @@ class TestSimulate:
         users += (channel.UserSpec(-7, 6, None, ((0, 50), (400, 1005))),)
         scenario = channel.Scenario(CrtParams(7, 3), users, duration=1010, seed=3)
         trace = channel.simulate(scenario)
-        trace.sent = dict(reversed(trace.sent.items()))  # the writer orders the ids itself
+        assert trace.ids.tolist() == sorted(ids + (-7,))  # the writer names rank r by ids[r]
         with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
             text = b"".join(cli._trace_csv_blocks(trace)).decode()
         assert text.startswith(
@@ -251,6 +251,34 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(failure_scenario), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_out_naming_a_directory_leaves_no_temp_file(self, tmp_path, capsys,
+                                                         failure_scenario):
+        out = tmp_path / "d"
+        out.mkdir()
+        assert main(["simulate", "--scenario", str(failure_scenario), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "scenario.json"]
+        assert list(out.iterdir()) == []
+
+    def test_block_that_fails_midway_leaves_no_temp_file(self, tmp_path, capsys,
+                                                          failure_scenario, monkeypatch):
+        block, starts = cli._trace_csv_block, []
+
+        def fail_on_third(trace, names, lo, hi):
+            starts.append(lo)
+            if len(starts) == 3:
+                raise MemoryError("no room for block 3")
+            return block(trace, names, lo, hi)
+
+        monkeypatch.setattr(cli, "_CSV_BLOCK_SLOTS", 5)  # 58 slots: 12 blocks
+        monkeypatch.setattr(cli, "_trace_csv_block", fail_on_third)
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--scenario", str(failure_scenario), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: no room for block 3\n")
+        assert starts == [0, 5, 10]  # two blocks written to the temp file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
     def test_trace_csv_blocks_join_seamlessly(self, tmp_path, capsys, failure_scenario,
                                               monkeypatch):
@@ -553,6 +581,7 @@ class TestSweep:
             ({"--seed": "-5"}, "--seed must be a non-negative integer, got -5"),
             # every draw's seed, seed + k, is non-negative here
             ({"--seed": "-1"}, "--seed must be a non-negative integer, got -1"),
+            ({"--m": "6"}, "more users than available sequences"),
         ],
     )
     def test_degenerate_input_is_usage_error(self, tmp_path, capsys, override, named):
@@ -587,6 +616,10 @@ class TestSession:
                      "--offsets", "0,9", "--payload", str(payload_path)])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["all_recovered"] is True
+
+    def test_repeated_generator_is_usage_error(self, capsys):
+        assert main(["session", "--p", "5", "--k", "5", "--users", "1,1"]) == 2
+        assert capsys.readouterr().err == "error: generators must be distinct\n"
 
     def test_offset_outside_period_is_usage_error(self, capsys):
         assert main(["session", "--p", "5", "--k", "5", "--users", "1,2",
@@ -728,6 +761,8 @@ MALFORMED_SCENARIOS = [
                  "scenario file {path}: repeated JSON key 'duration'", id="repeated-duration"),
     pytest.param(json.dumps(FAILURE_SCENARIO).replace('"g": 1,', '"g": 1, "g": 5,'),
                  "scenario file {path}: repeated JSON key 'g'", id="repeated-g"),
+    (_edited(0, "duration"), "duration must be positive"),
+    (_edited("xyz", "variant"), "unknown variant 'xyz' (expected 'std' or 'mod')"),
 ]
 
 
@@ -783,6 +818,12 @@ def test_json_string_scenario_is_not_decoded_twice(tmp_path, capsys, command):
          "payload.json: generator 2: symbol -1 outside GF(32)"),
         ({"1": list(range(14)), "2": [5] * 13 + [2**63]},
          "payload.json: generator 2 must be an array of 64-bit integers"),
+        # a payload for a generator outside --users: one of the field's, with
+        # a wrong symbol count, and one that is no generator at all
+        ({"1": list(range(14)), "2": [5] * 14, "4": [1]},
+         "payload.json: payload for generator 4, which is not active"),
+        ({"1": list(range(14)), "2": [5] * 14, "-3": [1]},
+         "payload.json: payload for generator -3, which is not active"),
     ],
 )
 def test_malformed_payload_is_usage_error(tmp_path, capsys, payload, named):

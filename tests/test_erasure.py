@@ -347,6 +347,12 @@ class TestSessionRoundtrip:
         with pytest.raises(PayloadError, match="^no payload for generator 2$"):
             session_roundtrip(5, 5, (1, 2), (0, 9), payloads={1: np.arange(14)})
 
+    def test_payload_of_inactive_generator_rejected(self):
+        # a payload that the round trip would not send is not dropped unread
+        payloads = {1: np.arange(14), 2: np.arange(14), 4: [1]}
+        with pytest.raises(PayloadError, match="^payload for generator 4, which is not active$"):
+            session_roundtrip(5, 5, (1, 2), (0, 9), payloads=payloads)
+
     def test_non_integer_payload_rejected(self):
         # a cast to int64 would send 1.7 as 1 and report a failed recovery
         with pytest.raises(PayloadError, match="^generator 1: symbols must be integers"):
