@@ -124,7 +124,12 @@ def code_dimension(p: int, k: int) -> int:
     (p+1)/2 - 1 users erases at most k + 1 of the q sent packets.  The
     numerator (k - 1)(p + 1) + 4 is even because p is odd.
     """
-    session_params(p, k)  # rejects (p, k) outside the family
+    return _dimension(session_params(p, k))  # rejects (p, k) outside the family
+
+
+def _dimension(params: CrtParams) -> int:
+    """code_dimension of params = session_params(p, k), whose q // p is k."""
+    p, k = params.p, params.q // params.p
     return (k * p + k - p + 3) // 2
 
 
@@ -154,8 +159,14 @@ class CodeSpec:
         """One codeword symbol per transmission opportunity in a period of
         ``session_params(p, k)``: n = q, field order the smallest supported
         power of two >= n."""
-        n = session_params(p, k).q
-        return cls(n=n, dim=code_dimension(p, k), field_order=_field_order_for(n))
+        return cls._of(session_params(p, k))
+
+    @classmethod
+    def _of(cls, params: CrtParams) -> "CodeSpec":
+        """for_protocol of params = session_params(p, k), read without
+        validating (p, k) again."""
+        n = params.q
+        return cls(n=n, dim=_dimension(params), field_order=_field_order_for(n))
 
     @property
     def max_erasures(self) -> int:
@@ -292,7 +303,7 @@ def session_roundtrip(
     if bad:
         raise ValueError(f"offset {bad[0]} outside 0..{params.L - 1}")
 
-    spec = CodeSpec.for_protocol(p, k)
+    spec = CodeSpec._of(params)
     code = ErasureCode(spec)
     rng = np.random.default_rng(seed)
     if payloads is None:

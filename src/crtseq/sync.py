@@ -3,11 +3,12 @@
 The receiver sees only the per-slot activity symbol (idle / one sender /
 collision).  A candidate sequence is *matched* at a start slot when every
 one of its ones falls on a non-idle symbol in the following period.  The
-detector keeps one boolean per potential user (generators 1..p-1; generator
-0 is never assigned because its autocorrelation is too forgiving) and flips
-it per the matching rule: an idle user that matches at t0 becomes active
-with start t0; an active user is re-examined only at whole-period
-boundaries of its own start and is dropped on the first failed match.
+detector keeps each potential user's start (generators 1..p-1; generator 0
+is never assigned because its autocorrelation is too forgiving), None
+while the user is idle, and sets it per the matching rule: an idle user
+that matches at t0 becomes active with start t0; an active user is
+re-examined only at whole-period boundaries of its own start and is
+dropped on the first failed match.
 
 With the modified variant, identification is provably reliable when the
 period is long enough relative to p^2 and at most (p+1)/2 users are active
@@ -74,7 +75,7 @@ class ActivityDetector:
 
     ``push`` takes one symbol, a 1-D array of symbols, or an ActivitySignal.
     A start slot t0 is decided once its window [t0, t0+L) is complete, so the
-    detector keeps only the busy flags of the at most L-1 slots from the
+    detector keeps only the idle flags of the at most L-1 slots from the
     oldest undecided start onward, plus each active user's next start to
     examine; an idle user's next start is always the oldest undecided one.
     Any chunking of a signal yields the same events as pushing it at once.
@@ -86,78 +87,71 @@ class ActivityDetector:
         # every CRT sequence has weight q, so the supports stack into (p-1, q)
         self._offsets = np.stack([generate_sequence(g, params).support() for g in self.user_ids])
         self._L = params.L
-        # busy flags of slots time-(hi-lo) .. time-1 live in _buf[lo:hi];
-        # pushed symbols are written behind them, in the room _room makes
-        self._buf = np.zeros(2 * self._L, dtype=bool)
-        self._view = memoryview(self._buf)
-        self._lo = self._hi = 0
+        # bit i of _idle_slots is set when slot time - _held + i, the oldest
+        # undecided start plus i, was idle: idle flags, not busy ones, so
+        # that an all-busy stretch is the int 0, on which appends and drops
+        # cost O(1)
+        self._idle_slots = 0
+        self._held = 0
         self._now = 0
         self._next = [0] * len(self.user_ids)
-        self.active: dict[int, bool] = dict.fromkeys(self.user_ids, False)
         self.start: dict[int, int | None] = dict.fromkeys(self.user_ids, None)
         # state of the one-symbol path: the idle users, the earliest next
-        # start of an active user, each sequence's ones as the bits of one
-        # int, and while some user is idle the busy flags of the last
-        # decided window as one int
+        # start of an active user, and each sequence's ones as the bits of
+        # one int
         self._idle = list(range(len(self.user_ids)))
         self._wake = math.inf
         self._masks = [_as_int(np.bincount(offs, minlength=self._L) > 0) for offs in self._offsets]
-        self._w: int | None = None
-        self._top = 1 << (self._L - 1)
 
     @property
     def time(self) -> int:
         """Number of symbols consumed so far."""
         return self._now
 
-    def _matched(self, busy: np.ndarray, n: int) -> np.ndarray:
+    def _matched(self, n: int) -> np.ndarray:
         """matched[k, j]: generator user_ids[k] matches the window that
-        starts at busy[j], for the first n starts.
+        starts at held slot j, for the first n held starts.
 
-        busy is packed 8 flags to a byte at each of the 8 bit shifts, and
-        each row ANDs, per one d of its sequence, the ceil(n/8) bytes of
-        shift d & 7 from byte d >> 3: (p-1)*q byte slices whatever n, plus
-        the 8 packings, so only chunks of 2q or more symbols come here;
-        shorter pushes go one symbol at a time, at most p-1 window tests
-        each.  busy holds at least n + L - 1 flags, so every slice is
-        whole; the bits past n are dropped when the rows are unpacked."""
+        The idle flags are read as bytes once, and the bytes at bit shifts
+        1..7 are ORs of adjacent shifted bytes; each row ORs, per one d of
+        its sequence, the ceil(n/8) bytes of shift d & 7 from byte d >> 3,
+        and a start matches where no idle flag was ORed in: (p-1)*q byte
+        slices whatever n, plus the 8 shifts, so only chunks of 2q or more
+        symbols come here; shorter pushes go one symbol at a time, at most
+        p-1 window tests each.  At least n + L - 1 slots are held, so every
+        slice is whole; the bits past n are dropped when the rows are
+        unpacked."""
         width = -(-n // 8)
-        shifts = [np.packbits(busy[r:], bitorder="little") for r in range(8)]
-        packed = np.full((len(self._offsets), width), 0xFF, dtype=np.uint8)
-        for row, offs in zip(packed, self._offsets.tolist()):
+        size = -(-self._held // 8) + 1  # a zero byte past the last one for the shifts
+        b = np.frombuffer(self._idle_slots.to_bytes(size, "little"), dtype=np.uint8)
+        r = np.arange(1, 8, dtype=np.uint8)[:, None]
+        shifted = b[:-1] >> r
+        shifted |= b[1:] << (8 - r)  # in place: one (7, size) temporary fewer
+        shifts = [b[:-1], *shifted]
+        idle = np.zeros((len(self._offsets), width), dtype=np.uint8)
+        for row, offs in zip(idle, self._offsets.tolist()):
             for d in offs:
-                row &= shifts[d & 7][d >> 3 : (d >> 3) + width]
-        return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
-
-    def _room(self, m: int) -> None:
-        """Make room for m busy flags behind the live ones: when they do not
-        fit, move the live flags to the front of a buffer of
-        max(2L, live + m) flags, the old one if it has that size."""
-        if self._hi + m > self._buf.size:
-            live = self._hi - self._lo
-            size = max(2 * self._L, live + m)
-            buf = self._buf if size == self._buf.size else np.empty(size, dtype=bool)
-            buf[:live] = self._buf[self._lo : self._hi]
-            self._buf, self._view, self._lo, self._hi = buf, memoryview(buf), 0, live
+                row |= shifts[d & 7][d >> 3 : (d >> 3) + width]
+        return np.unpackbits(~idle, axis=1, count=n, bitorder="little").view(bool)
 
     def _flip(self, k: int, t0: int, events: list) -> int:
         """Deactivate an active user k, or activate an idle one, at start t0;
         record the event as (t0, user, event) and return the user's next
         start to examine."""
         u = self.user_ids[k]
-        if self.active[u]:
-            self.active[u], self.start[u] = False, None
+        if self.start[u] is not None:
+            self.start[u] = None
             events.append((t0, u, Deactivated(u, t0)))
             return t0 + 1
-        self.active[u], self.start[u] = True, t0
+        self.start[u] = t0
         events.append((t0, u, Activated(u, t0)))
         return t0 + self._L
 
     def _reindex(self) -> None:
         """Recompute the idle users and the wake time after a decision."""
-        users = range(len(self.user_ids))
-        self._idle = [k for k in users if not self.active[self.user_ids[k]]]
-        self._wake = min((self._next[k] for k in users if self.active[self.user_ids[k]]),
+        starts = list(self.start.values())
+        self._idle = [k for k, s in enumerate(starts) if s is None]
+        self._wake = min((t for t, s in zip(self._next, starts) if s is not None),
                          default=math.inf)
 
     def push(self, symbols) -> list[Activated | Deactivated]:
@@ -171,15 +165,13 @@ class ActivityDetector:
         if not isinstance(symbols, int) and isinstance(symbols, (np.integer, np.bool_)):
             symbols = int(symbols)  # a numpy integer or bool takes the one-symbol path too
         if isinstance(symbols, int) and 0 <= symbols <= 2:
-            if self._hi == self._buf.size:
-                self._room(1)
-            busy = symbols != IDLE
-            self._view[self._hi] = busy
-            self._hi += 1
+            if symbols == IDLE:
+                self._idle_slots |= 1 << self._held
+            self._held += 1
             self._now += 1
-            if self._hi - self._lo < self._L:
+            if self._held < self._L:
                 return []
-            return self._decide_one(busy)
+            return self._decide_one()
         if isinstance(symbols, ActivitySignal):
             codes = symbols.codes  # validated on construction
         else:
@@ -190,55 +182,48 @@ class ActivityDetector:
         m = codes.size
         if m < 2 * self.params.q:  # see _matched
             return [ev for c in codes.ravel().tolist() for ev in self.push(c)]
-        self._room(m)
-        np.not_equal(codes, IDLE, out=self._buf[self._hi : self._hi + m])
-        self._hi += m
+        self._idle_slots |= _as_int(codes == IDLE) << self._held
+        self._held += m
         self._now += m
-        self._w = None
-        n = self._hi - self._lo - self._L + 1
+        n = self._held - self._L + 1
         if n <= 0:
             return []
         events = self._decide(n)
         self._reindex()
         return [ev for _, _, ev in events]
 
-    def _decide_one(self, busy: bool) -> list[Activated | Deactivated]:
-        """Decide the oldest undecided start, whose window ends with the
-        symbol just pushed, for the users due there: every idle user, and
-        each active one at a whole period of its start.
+    def _decide_one(self) -> list[Activated | Deactivated]:
+        """Decide the oldest undecided start, whose window of L held slots
+        ends with the symbol just pushed, for the users due there: every
+        idle user, and each active one at a whole period of its start.
 
         Slot 0 is a one of every sequence, so an idle start slot matches no
         user; then, and when no user is idle, nothing changes before the
-        wake time.  Otherwise user k matches when the window's busy bits
-        cover its mask.
+        wake time.  Otherwise user k matches when none of the window's idle
+        bits falls on its mask.
         """
-        L, lo = self._L, self._lo
+        L = self._L
         t = self._now - L
-        self._lo = lo + 1
-        w = self._w
-        if w is not None:  # slide the last decided window by one slot
-            w = w >> 1 | self._top if busy else w >> 1
-        if t < self._wake and (not self._idle or not self._view[lo]):
-            self._w = w
+        w = self._idle_slots
+        self._idle_slots = w >> 1
+        self._held -= 1
+        if t < self._wake and (not self._idle or w & 1):
             return []
-        if w is None:
-            w = _as_int(self._buf[lo : lo + L])
         masks = self._masks
-        flips = [k for k in self._idle if w & masks[k] == masks[k]]
+        flips = [k for k in self._idle if not w & masks[k]]
         if t >= self._wake:
             nxt = self._next
             for k, t0 in enumerate(nxt):
-                if t0 == t and self.active[self.user_ids[k]]:
-                    if w & masks[k] == masks[k]:
-                        nxt[k] = t + L
-                    else:
+                if t0 == t and self.start[self.user_ids[k]] is not None:
+                    if w & masks[k]:
                         flips.append(k)
+                    else:
+                        nxt[k] = t + L
         events: list = []
         if flips or t >= self._wake:
             for k in sorted(flips):
                 self._next[k] = self._flip(k, t, events)
             self._reindex()
-        self._w = w if self._idle else None
         return [ev for _, _, ev in events]
 
     def _decide(self, n: int) -> list:
@@ -246,15 +231,16 @@ class ActivityDetector:
         user reads its match row at each whole period of its start; an idle
         one skips to its row's next match by argmax, which stops at the
         first True, so the scans of one row cover the chunk once in total."""
-        L, lo = self._L, self._lo
-        matched = self._matched(self._buf[lo : self._hi], n)
-        self._lo = lo + n
-        base = self._now - (self._hi - lo)  # slot of the oldest undecided start
+        L = self._L
+        matched = self._matched(n)
+        base = self._now - self._held  # slot of the oldest undecided start
+        self._idle_slots >>= n
+        self._held -= n
         events: list = []
         for k, (u, row) in enumerate(zip(self.user_ids, matched)):
             j = max(self._next[k] - base, 0)  # an idle user's may be stale
             while j < n:
-                if self.active[u]:
+                if self.start[u] is not None:
                     if row[j]:
                         j += L
                         continue

@@ -671,12 +671,6 @@ class TestSession:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
-    def test_payload_must_cover_users(self, tmp_path, capsys):
-        payload_path = tmp_path / "payload.json"
-        payload_path.write_text(json.dumps({"1": list(range(14))}))
-        assert main(["session", "--p", "5", "--k", "5", "--users", "1,2",
-                     "--offsets", "0,9", "--payload", str(payload_path)]) == 2
-
 
 DELETE = object()
 
@@ -795,7 +789,9 @@ def test_json_string_scenario_is_not_decoded_twice(tmp_path, capsys, command):
     [
         ([list(range(14)), [5] * 14], "JSON object"),
         ({"1": list(range(14)), "two": [5] * 14}, "'two'"),
-        ({"1": list(range(14)), "2": 5}, "generator 2"),
+        # a payload for a key that is no generator at all
+        ({"1": list(range(14)), "2": [5] * 14, "-3": [1]},
+         "payload.json: payload for generator -3, which is not active"),
         ({"1": list(range(14)), "2": [1.5] * 14}, "generator 2"),
         ({"1": list(range(14)), "2": [2**70] * 14}, "generator 2"),
         ({"1": [[1, 2]] * 7, "2": [5] * 14}, "generator 1"),
@@ -818,12 +814,10 @@ def test_json_string_scenario_is_not_decoded_twice(tmp_path, capsys, command):
          "payload.json: generator 2: symbol -1 outside GF(32)"),
         ({"1": list(range(14)), "2": [5] * 13 + [2**63]},
          "payload.json: generator 2 must be an array of 64-bit integers"),
-        # a payload for a generator outside --users: one of the field's, with
-        # a wrong symbol count, and one that is no generator at all
+        # a payload for a generator outside --users, one of the field's,
+        # with a wrong symbol count
         ({"1": list(range(14)), "2": [5] * 14, "4": [1]},
          "payload.json: payload for generator 4, which is not active"),
-        ({"1": list(range(14)), "2": [5] * 14, "-3": [1]},
-         "payload.json: payload for generator -3, which is not active"),
     ],
 )
 def test_malformed_payload_is_usage_error(tmp_path, capsys, payload, named):

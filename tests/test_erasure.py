@@ -330,10 +330,21 @@ class TestSessionRoundtrip:
         assert report.margins == {g: 12 - e for g, e in report.erasure_counts.items()}
         assert min(report.margins.values()) >= 0
 
+    def test_round_trip_validates_p_and_k_once(self, monkeypatch):
+        calls = []
+
+        def counted(p, k):
+            calls.append((p, k))
+            return session_params(p, k)
+
+        monkeypatch.setattr(erasure, "session_params", counted)
+        session_roundtrip(5, 5, (1, 2, 3), (3, 40, 77))
+        assert calls == [(5, 5)]
+
     def test_over_budget_user_lowers_measured_throughput(self, monkeypatch):
         # force dimension n - 1, a budget of one erasure per user, so that
         # colliding users fail while the formula still counts them
-        monkeypatch.setattr(erasure, "code_dimension", lambda p, k: k * p)
+        monkeypatch.setattr(erasure, "_dimension", lambda params: params.q - 1)
         report = session_roundtrip(5, 5, (1, 2, 3), (3, 40, 77))
         failed = [g for g, ok in report.recovered_ok.items() if not ok]
         assert failed and not report.all_recovered

@@ -160,7 +160,6 @@ class TestDetector:
         det = ActivityDetector(M551)
         events = det.push(sig)
         assert events == [Activated(3, 17)]
-        assert det.active == {1: False, 2: False, 3: True, 4: False}
         assert det.start == {1: None, 2: None, 3: 17, 4: None}
         assert det.time == len(sig)
 
@@ -225,7 +224,9 @@ class TestDetector:
     @settings(max_examples=60, deadline=None)
     def test_match_kernel_matches_definition(self, pq, whole_bytes, odd_bits, idle_rate, seed):
         # n of every residue mod 8 and offsets of every residue mod 8, so each
-        # of the 8 packed shifts and a partial last byte are read
+        # of the 8 byte shifts and a partial last byte are read; the kernel
+        # reads the n + L - 1 held slots, here with their idle flags set bit
+        # by bit
         params = CrtParams(*pq, Variant.MODIFIED)
         n = max(8 * whole_bytes + odd_bits, 1)
         det = ActivityDetector(params)
@@ -234,7 +235,9 @@ class TestDetector:
         codes = np.where(rng.random(n + params.L - 1) < idle_rate, IDLE, 1)
         seqs = [generate_sequence(g, params) for g in det.user_ids]
         expected = [[is_matched(codes, seq, t0) for t0 in range(n)] for seq in seqs]
-        assert det._matched(codes != IDLE, n).tolist() == expected
+        det._idle_slots = sum(1 << i for i in np.flatnonzero(codes == IDLE).tolist())
+        det._held = codes.size
+        assert det._matched(n).tolist() == expected
 
     @given(st.sampled_from([M78, CrtParams(5, 12, Variant.MODIFIED)]),
            st.sampled_from([0, 1 / 64, 1 / 16]),
@@ -243,8 +246,8 @@ class TestDetector:
     @settings(max_examples=40, deadline=None)
     def test_single_pushes_between_long_chunks(self, params, idle_rate, seed, runs):
         # runs of one-symbol pushes alternate with chunks longer than 2L,
-        # so the busy-flag buffer both compacts in place and grows; a
-        # channel that is never idle matches every user at every start
+        # so the held slots pass between the two paths both ways; a channel
+        # that is never idle matches every user at every start
         L = params.L
         lengths = [n for singles, extra in runs for n in (singles, 2 * L + extra)]
         rng = np.random.default_rng(seed)
@@ -266,11 +269,11 @@ class TestDetector:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_one_symbol_pushes_match_definition(self, data):
-        # Python ints pushed one at a time over signals longer than 2L, so the
-        # busy-flag buffer fills and compacts between single pushes: idle
-        # every period-th slot (a period near L puts idle slots late in most
-        # windows, past the ones read before the kernel), never, always, or
-        # at random sparse slots
+        # Python ints pushed one at a time over signals longer than 2L, so
+        # every slot is held, decided and dropped by the one-symbol path:
+        # idle every period-th slot (a period near L puts idle slots late in
+        # most windows, where only the mask test sees them), never, always,
+        # or at random sparse slots
         params = data.draw(st.sampled_from([M78, CrtParams(5, 12, Variant.MODIFIED), M551]))
         L = params.L
         n = data.draw(st.integers(2 * L + 1, 3 * L))
@@ -294,9 +297,10 @@ class TestDetector:
     @settings(max_examples=100, deadline=None)
     def test_one_symbol_pushes_across_busy_and_idle_stretches(self, data):
         # long all-busy stretches activate every user, so the one-symbol
-        # path drops its window int; sparse or periodic idle stretches drop
-        # users again, so it rebuilds the int and slides it; some stretches
-        # go in as chunks between the one-symbol pushes
+        # path returns before its mask tests until the wake time; sparse or
+        # periodic idle stretches drop users again, so idle users are tested
+        # at every start; some stretches go in as chunks between the
+        # one-symbol pushes
         params = data.draw(st.sampled_from(
             [M78, CrtParams(5, 12, Variant.MODIFIED), CrtParams(7, 8, Variant.STANDARD),
              CrtParams(5, 12, Variant.STANDARD), CrtParams(3, 10, Variant.STANDARD)]))
@@ -327,7 +331,7 @@ class TestDetector:
     def test_one_symbol_path_after_every_user_was_active(self):
         # every user is active after an all-busy stretch; an idle stretch
         # then drops them one by one at their period boundaries, and a busy
-        # stretch activates them again on a window rebuilt from the buffer
+        # stretch activates them again once the idle slots leave the window
         L = M551.L
         codes = np.concatenate([np.ones(2 * L, dtype=np.int8), np.zeros(L + 3, dtype=np.int8),
                                 np.full(L + 20, 2, dtype=np.int8)])
@@ -354,9 +358,8 @@ class TestDetector:
     @pytest.mark.parametrize("one", [int, np.int8, np.uint8, np.bool_],
                              ids=["int", "int8", "uint8", "bool_"])
     def test_numpy_scalars_take_the_one_symbol_path(self, monkeypatch, one):
-        # 3L pushes fill the 2L-flag buffer, so the live flags move to its
-        # front between two one-symbol pushes, and no push may reach the
-        # chunk kernel
+        # 3L one-symbol pushes decide a deactivation and two activations,
+        # and no push may reach the chunk kernel
         L = M551.L
         users = (UserSpec(2, 2, None, ((10, 10 + L),)), UserSpec(4, 4, 100))
         sig = channel_activity(simulate(Scenario(M551, users, 3 * L)))
