@@ -8,7 +8,8 @@ suite checks against the brute-force values with zero tolerance.
 One exact-integer kernel counts every spectrum, a single pair's or a batch
 of pairs', in chunks of at most 2^16 differences, so its scratch does not
 grow with L or the family; epsilon-uniformity is an exact rational, never
-a float, read off those counts.
+a float, read off those counts, or off the predicted distributions for the
+CRT family at q > p.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "reduced_generator",
     "predicted_distribution",
     "predicted_autocorrelation",
-    "count_congruent",
     "pairwise_epsilon",
     "epsilon_uniformity",
     "crt_epsilon",
@@ -100,9 +100,7 @@ class CrossParams:
     quotient/remainder are q divided by p.  window_residue is
     (g-1)^{-1} * remainder mod p; whether it falls below or above
     p - remainder decides which band of three consecutive values the
-    cross-correlation occupies.  shift_residue() is the per-shift
-    companion quantity: together they reduce the overlap count at a 2-D
-    shift to plain congruence counting (see solution_count).
+    cross-correlation occupies.
     """
 
     p: int
@@ -110,24 +108,6 @@ class CrossParams:
     quotient: int
     remainder: int
     window_residue: int
-
-    def shift_residue(self, row_shift: int, col_shift: int) -> int:
-        """(g-1)^{-1} * (row_shift - col_shift mod p) reduced mod p, for a
-        column shift already reduced into 0..q-1."""
-        inv = pow(self.generator - 1, -1, self.p)
-        return (inv * (row_shift - col_shift % self.p)) % self.p
-
-    def solution_count(self, row_shift: int, col_shift: int, q: int) -> int:
-        """Overlap with the reference sequence at a 2-D shift, computed by
-        congruence counting alone: ones collide at column x exactly when
-        x = shift_residue (mod p), plus window_residue for the columns that
-        wrapped (x < col_shift).  Defined for generators outside {0, 1}."""
-        col_shift %= q
-        base = self.shift_residue(row_shift, col_shift)
-        wrapped = (base + self.window_residue) % self.p
-        return count_congruent(0, col_shift, wrapped, self.p) + count_congruent(
-            col_shift, q - col_shift, base, self.p
-        )
 
 
 def cross_params(g: int, params: CrtParams) -> CrossParams:
@@ -225,22 +205,6 @@ def predicted_autocorrelation(
     return values if np.ndim(values) else int(values)
 
 
-def count_congruent(c: int, d: int, b: int, p: int) -> int:
-    """Exact number of x in {c, ..., c+d-1} with x = b (mod p).
-
-    Equals d/p when p divides d, and otherwise floor(d/p) or
-    floor(d/p) + 1 depending on where the window starts.
-    """
-    if d < 0:
-        raise ValueError("window length must be nonnegative")
-    if d == 0:
-        return 0
-    first = (b - c) % p
-    if first >= d:
-        return 0
-    return (d - first - 1) // p + 1
-
-
 def _count_spectra(a_supports: np.ndarray, b_supports: np.ndarray, L: int) -> np.ndarray:
     """(m, L) spectra of the row pairs of the (m, w_a) and (m, w_b) support
     matrices: row i of each is one pair.
@@ -327,9 +291,14 @@ def crt_epsilon(params: CrtParams) -> Fraction:
     to translates, so a pair (g, h) has the spectrum of (g*h^-1, 1) up to a
     permutation of the shifts (reduced_generator), and swapping a pair
     reverses its spectrum.  The p - 1 representatives (r, 1), r in
-    {0, 2, ..., p-1}, therefore attain every pair's extremes.
+    {0, 2, ..., p-1}, therefore attain every pair's extremes.  For q > p
+    they are read off the levels of predicted_distribution; below, where
+    its formulas do not apply, the spectrum kernel counts them.
     """
     reps = [0, *range(2, params.p)]
+    if params.q > params.p:
+        levels = [j for r in reps for j in predicted_distribution(r, params)]
+        return _deviation(min(levels), max(levels), params.q**2, params.L)
     a = np.stack([generate_sequence(r, params).support() for r in reps])
     b = generate_sequence(1, params).support()
     return _epsilon(a, np.broadcast_to(b, (len(reps), b.size)), params.L)

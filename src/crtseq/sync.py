@@ -14,8 +14,8 @@ With the modified variant, identification is provably reliable when the
 period is long enough relative to p^2 and at most (p+1)/2 users are active
 at once, and ``judge`` returns a run's Verdict against those conditions;
 outside them the detector may mistake one user's delayed transmissions for
-another user.  The slot layout matrix, windowed partial correlations and
-the uncovered-ones witness behind them live here too.
+another user.  The slot layout matrix and the windowed partial
+correlations behind them live here too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .core import (
     GridPoint,
     Variant,
     crt_inverse,
-    crt_map,
     generate_sequence,
 )
 
@@ -48,8 +47,6 @@ __all__ = [
     "judge",
     "slot_matrix",
     "partial_cross_correlation",
-    "UncoveredOnes",
-    "uncovered_ones",
 ]
 
 
@@ -407,51 +404,3 @@ def partial_cross_correlation(
     else:
         window = (band <= cols) & (cols < band + p)
     return int(np.count_nonzero(hits & window))
-
-
-@dataclass(frozen=True)
-class UncoveredOnes:
-    """Ones of a sequence left uncovered by its own acyclic shift, plus the
-    witness window whose ones are all uncovered."""
-
-    slots: frozenset[int]
-    witness: str  # "prefix" (first p^2 slots) or "band"
-    band: int | None = None
-
-
-def uncovered_ones(g: int, tau: int, params: CrtParams) -> UncoveredOnes:
-    """Ones of the generator-g sequence not covered by the sequence delayed
-    acyclically by tau (1 <= tau < L).
-
-    The uncovered set always swallows all ones of one verification window:
-    either the first p^2 slots or some p-column band.  Which witness
-    applies is reported; absence of any witness would disprove the
-    detector's soundness argument, so it raises AssertionError.  Generator
-    0 repeats with period p and lies outside that argument (ValueError).
-    """
-    if g == 0:
-        raise ValueError("uncovered-ones analysis excludes generator 0")
-    if params.variant is not Variant.MODIFIED:
-        raise ValueError("uncovered-ones analysis assumes the modified variant")
-    p, q, L = params.p, params.q, params.L
-    if q <= 2 * p * p:
-        raise ValueError("analysis requires q > 2p^2")
-    if not 1 <= tau <= L - 1:
-        raise ValueError(f"shift {tau} outside 1..{L - 1}")
-    bits = generate_sequence(g, params).bits
-    support = np.flatnonzero(bits)
-    covered = (support >= tau) & (bits[support - tau] == 1)
-    uncovered = frozenset(support[~covered].tolist())
-
-    if not np.any(covered & (support < p * p)):
-        return UncoveredOnes(uncovered, "prefix")
-
-    # a band of p columns is a witness when it holds no covered one
-    per_col = np.bincount(crt_map(support[covered], params).col, minlength=q)
-    in_band = np.convolve(per_col, np.ones(p, dtype=np.int64), mode="valid")
-    empty = np.flatnonzero(in_band == 0)
-    if empty.size:
-        return UncoveredOnes(uncovered, "band", int(empty[0]))
-    raise AssertionError(
-        f"no witness window for g={g}, tau={tau}: uncovered-ones containment violated"
-    )

@@ -15,6 +15,7 @@ import numpy as np
 
 from crtseq.channel import COLLISION, IDLE, SUCCESS, ActivitySignal, ChannelTrace, Scenario
 from crtseq.core import BinarySequence, CrtParams, GridPoint, Variant, crt_inverse, crt_map
+from crtseq.correlation import CrossParams
 from crtseq.erasure import GF
 
 # --- sequences as grid points ---
@@ -114,6 +115,49 @@ def two_d_correlation(a: np.ndarray, b: np.ndarray, shift: GridPoint | tuple[int
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     r, c = int(shift[0]), int(shift[1])
     return int(np.sum(a * np.roll(b, (r, c), axis=(0, 1))))
+
+
+# --- cross-correlation by congruence counting ---
+# the case analysis behind predicted_distribution as counting identities,
+# which the tests check against two_d_correlation
+
+
+def count_congruent(c: int, d: int, b: int, p: int) -> int:
+    """Exact number of x in {c, ..., c+d-1} with x = b (mod p).
+
+    Equals d/p when p divides d, and otherwise floor(d/p) or
+    floor(d/p) + 1 depending on where the window starts.
+    """
+    if d < 0:
+        raise ValueError("window length must be nonnegative")
+    if d == 0:
+        return 0
+    first = (b - c) % p
+    if first >= d:
+        return 0
+    return (d - first - 1) // p + 1
+
+
+def shift_residue(cp: CrossParams, row_shift: int, col_shift: int) -> int:
+    """(g-1)^{-1} * (row_shift - col_shift mod p) reduced mod p, for a
+    column shift already reduced into 0..q-1: the per-shift companion of
+    cp.window_residue."""
+    inv = pow(cp.generator - 1, -1, cp.p)
+    return (inv * (row_shift - col_shift % cp.p)) % cp.p
+
+
+def solution_count(cp: CrossParams, row_shift: int, col_shift: int, q: int) -> int:
+    """Overlap of generator cp.generator with the reference sequence at a
+    2-D shift, computed by congruence counting alone: ones collide at column
+    x exactly when x = shift_residue (mod p), plus window_residue for the
+    columns that wrapped (x < col_shift).  Defined for generators outside
+    {0, 1}."""
+    col_shift %= q
+    base = shift_residue(cp, row_shift, col_shift)
+    wrapped = (base + cp.window_residue) % cp.p
+    return count_congruent(0, col_shift, wrapped, cp.p) + count_congruent(
+        col_shift, q - col_shift, base, cp.p
+    )
 
 
 # --- the channel's text forms ---

@@ -16,8 +16,7 @@ PUBLIC = {
     "crtseq.correlation": [
         "CorrelationSpectrum", "CrossParams", "UnsupportedParameters", "correlation_spectrum",
         "cross_params", "predicted_cross_range", "reduced_generator", "predicted_distribution",
-        "predicted_autocorrelation", "count_congruent", "pairwise_epsilon",
-        "epsilon_uniformity", "crt_epsilon",
+        "predicted_autocorrelation", "pairwise_epsilon", "epsilon_uniformity", "crt_epsilon",
     ],
     "crtseq.channel": [
         "IDLE", "SUCCESS", "COLLISION", "ActivitySignal", "check_codes", "UserSpec",
@@ -29,7 +28,6 @@ PUBLIC = {
     "crtseq.sync": [
         "Activated", "Deactivated", "ActivityDetector", "run_detector", "GuaranteeLevel",
         "Verdict", "sync_guarantee", "judge", "slot_matrix", "partial_cross_correlation",
-        "UncoveredOnes", "uncovered_ones",
     ],
     "crtseq.erasure": [
         "GF", "PRIMITIVE_POLYS", "session_params", "code_dimension", "CodeSpec",

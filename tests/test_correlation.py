@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from crtseq import correlation
 from crtseq.baselines import extended_prime_sequences, prime_sequences
+from crtseq.channel import construction_params
 from crtseq.core import (
     BinarySequence,
     CrtParams,
@@ -27,7 +28,6 @@ from crtseq.core import (
 from crtseq.correlation import (
     UnsupportedParameters,
     correlation_spectrum,
-    count_congruent,
     cross_params,
     crt_epsilon,
     epsilon_uniformity,
@@ -39,9 +39,11 @@ from crtseq.correlation import (
 from oracles import (
     brute_spectrum,
     characteristic_set,
+    count_congruent,
     hamming_correlation,
     points_to_sequence,
     sequence_from_string,
+    solution_count,
     two_d_correlation,
 )
 
@@ -162,7 +164,7 @@ class TestCrossParams:
                 ag = sequence_to_array(generate_sequence(g, params), params)
                 for t1 in range(params.p):
                     for t2 in range(params.q):
-                        assert cp.solution_count(t1, t2, params.q) == two_d_correlation(
+                        assert solution_count(cp, t1, t2, params.q) == two_d_correlation(
                             ag, a1, (t1, t2)
                         )
 
@@ -502,19 +504,17 @@ class TestCrtEpsilon:
             family = [generate_sequence(g, params) for g in range(params.p)]
             assert crt_epsilon(params) == epsilon_uniformity(family), params
 
-    def test_matches_predicted_distribution_extremes(self):
-        for params in coprime_grid():
-            p, q = params.p, params.q
-            if q <= p:
-                continue
-            mean = Fraction(q, p)  # q^2 / L
-            levels = [
-                level
-                for g in (0, *range(2, p))
-                for level in predicted_distribution(g, params)
-            ]
-            expect = max(max(levels) - mean, mean - min(levels)) / mean
-            assert crt_epsilon(params) == expect, params
+    @pytest.mark.parametrize("k, kernel_calls", [(6, 0), (1, 1)])
+    def test_counts_only_below_q_equals_p(self, k, kernel_calls):
+        # q = 6p - 1 > p: epsilon is read off predicted_distribution; q = p - 1
+        # is outside its hypothesis, so the kernel counts the p - 1 pairs
+        params = construction_params(37, k)
+        family = [generate_sequence(g, params) for g in range(params.p)]
+        expect = epsilon_uniformity(family)
+        with mock.patch.object(correlation, "_count_spectra",
+                               side_effect=correlation._count_spectra) as kernel:
+            assert crt_epsilon(params) == expect
+        assert kernel.call_count == kernel_calls
 
     def test_small_instance(self):
         assert crt_epsilon(P35) == Fraction(4, 5)
