@@ -6,7 +6,9 @@ learn what happened.  Users follow their zero-one schedule: a user with
 delay offset tau transmits at slot t when its sequence has a one at
 (t - tau) mod L, so the schedule starts at slot tau.  Session users run
 the schedule afresh from each session's start slot; both are [start, end)
-phase spans (``Scenario.spans``), and a run is its sorted transmissions.
+phase spans (``Scenario.spans``), and a run is its sorted transmissions,
+computed block by block (``simulate_blocks``) so that a long run streams
+in bounded memory.
 
 Also hosts the worst-case throughput calculators for the q = k*p - 1
 sequence family and the offset-sampling throughput experiment.
@@ -17,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
-from .core import BinarySequence, CrtParams, Variant, generate_sequence
+from .core import CrtParams, Variant, generate_sequence
 from .correlation import correlation_spectrum
 
 __all__ = [
@@ -32,7 +35,10 @@ __all__ = [
     "UserSpec",
     "Scenario",
     "ChannelTrace",
+    "TraceBlock",
     "ThroughputReport",
+    "BLOCK_SLOTS",
+    "simulate_blocks",
     "simulate",
     "channel_activity",
     "construction_params",
@@ -45,6 +51,10 @@ __all__ = [
 ]
 
 IDLE, SUCCESS, COLLISION = 0, 1, 2
+# slots per block of a streamed run: long enough that a detector push and
+# the per-block numpy calls amortise, short enough that a block's arrays
+# stay a few MiB
+BLOCK_SLOTS = 1 << 16
 _INT64 = range(-(2**63), 2**63)  # ids and slots become int64 arrays
 _SYMBOL_BYTES = np.frombuffer(b"01*", dtype=np.uint8)  # ASCII byte of each code
 
@@ -204,49 +214,84 @@ class ChannelTrace:
         return Fraction(self.total_successes, self.duration)
 
 
+@dataclass(frozen=True)
+class TraceBlock:
+    """Slots [lo, lo + len(n_senders)) of a run, laid out as ChannelTrace:
+    ``n_senders[t - lo]`` counts slot t's transmitters, and the block's
+    transmissions are (slot, rank) pairs sorted by slot, then rank, with
+    rank r naming user ``ids[r]`` of the run's sorted id table."""
+
+    lo: int
+    n_senders: np.ndarray
+    transmission_slot: np.ndarray
+    transmission_rank: np.ndarray
+    ids: np.ndarray
+
+
 def _transmission_slots(
-    seq: BinarySequence, spans: tuple[tuple[int, int], ...], duration: int
+    support: np.ndarray, L: int, start: np.ndarray, end: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
-    """Slots in [0, duration) where a user with this sequence transmits, in
-    packet order: each span [a, b) runs the schedule from slot a, cut at b.
-    All spans expand in one step, one row of q slots per period."""
-    support, L = seq.support(), len(seq)
-    # ends clipped in Python, so no int64 below exceeds the horizon
-    start = np.array([a for a, _ in spans], dtype=np.int64)
-    end = np.array([min(b, duration) for _, b in spans], dtype=np.int64)
-    periods = np.maximum(-((start - end) // L), 0)  # ceil((end - start) / L)
+    """Slots in [lo, hi) where a user with this support transmits, in packet
+    order: each span [start[i], end[i]) runs the schedule from its start,
+    cut at its end.  The spans are sorted and disjoint, so the ones that
+    meet the block are one slice; only their periods that meet it expand,
+    in one step, one row of q slots per period."""
+    first, last = np.searchsorted(end, lo, side="right"), np.searchsorted(start, hi)
+    start, end = start[first:last], np.minimum(end[first:last], hi)
+    skip = np.maximum((lo - start) // L, 0)  # whole periods before the block
+    periods = -((start - end) // L) - skip  # ceil((end - start) / L) - skip >= 1
     span = np.repeat(np.arange(start.size), periods)  # the span of each period row
-    period = np.arange(span.size) - (np.cumsum(periods) - periods)[span]
+    period = skip[span] + np.arange(span.size) - (np.cumsum(periods) - periods)[span]
     slots = (start[span] + L * period)[:, None] + support
-    return slots[(slots >= 0) & (slots < end[span, None])]
+    return slots[(slots >= lo) & (slots < end[span, None])]
+
+
+def simulate_blocks(scenario: Scenario, block: int) -> Iterator[TraceBlock]:
+    """Run the collision rule over the scenario in blocks of ``block``
+    slots: one TraceBlock per [lo, hi), in order, so memory follows the
+    block size, not the duration.  Deterministic given the scenario (the
+    seed only feeds unspecified offsets)."""
+    if block < 1:
+        raise ValueError(f"block must be a positive number of slots, got {block}")
+    params, duration, spans = scenario.params, scenario.duration, scenario.spans()
+    users = sorted((u.user_id, u.generator) for u in scenario.users)
+    ids = np.array([uid for uid, _ in users], dtype=np.int64)
+    ids.flags.writeable = False  # one table shared by every block
+    schedules = [
+        (generate_sequence(g, params).support(),
+         np.array([a for a, _ in spans[uid]], dtype=np.int64),
+         np.array([b for _, b in spans[uid]], dtype=np.int64))
+        for uid, g in users
+    ]
+    # each transmission is the key (slot << bits) | rank of its sender's id,
+    # so one sort orders a block's transmissions by slot, then id
+    bits = max(len(users) - 1, 0).bit_length()
+    for lo in range(0, duration, block):
+        hi = min(lo + block, duration)
+        key = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            _transmission_slots(support, params.L, start, end, lo, hi) << bits | rank
+            for rank, (support, start, end) in enumerate(schedules)
+        ])
+        key.sort()
+        rank = key & ((1 << bits) - 1)
+        slot = np.right_shift(key, bits, out=key)
+        yield TraceBlock(lo, np.bincount(slot - lo, minlength=hi - lo), slot, rank, ids)
 
 
 def simulate(scenario: Scenario) -> ChannelTrace:
-    """Run the collision rule over the scenario; deterministic given the
-    scenario (the seed only feeds unspecified offsets)."""
-    duration, spans = scenario.duration, scenario.spans()
-    users = sorted((u.user_id, u.generator) for u in scenario.users)
-    # each transmission is the key (slot << bits) | rank of its sender's id,
-    # so one sort orders them by slot, then id
-    bits = max(len(users) - 1, 0).bit_length()
-    key = np.concatenate([np.empty(0, dtype=np.int64)] + [
-        _transmission_slots(generate_sequence(g, scenario.params), spans[uid], duration) << bits
-        | rank
-        for rank, (uid, g) in enumerate(users)
-    ])
-    key.sort()
-    rank = key & ((1 << bits) - 1)
-    slot = np.right_shift(key, bits, out=key)
+    """The whole run: the concatenation of ``simulate_blocks``."""
+    blocks = list(simulate_blocks(scenario, BLOCK_SLOTS))
     return ChannelTrace(
-        duration=duration,
-        n_senders=np.bincount(slot, minlength=duration),
-        transmission_slot=slot,
-        transmission_rank=rank,
-        ids=np.array([uid for uid, _ in users], dtype=np.int64),
+        duration=scenario.duration,
+        n_senders=np.concatenate([b.n_senders for b in blocks]),
+        transmission_slot=np.concatenate([b.transmission_slot for b in blocks]),
+        transmission_rank=np.concatenate([b.transmission_rank for b in blocks]),
+        ids=blocks[0].ids,
     )
 
 
-def channel_activity(trace: ChannelTrace) -> ActivitySignal:
+def channel_activity(trace: ChannelTrace | TraceBlock) -> ActivitySignal:
+    """The activity codes of a run's slots, or of a block's."""
     return ActivitySignal(np.minimum(trace.n_senders, 2, dtype=np.int8))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -126,9 +127,10 @@ def _read_json(path: str, what: str) -> dict:
     return obj
 
 
-# slots per block: the arrays of a block stay in cache and in freed heap
-# memory.  A block also ends at each multiple of _LOW, so the slots of a
-# block share their digits above the last four
+# slots per CSV block, several to a run block of channel.BLOCK_SLOTS: the
+# arrays of a CSV block stay in cache and in freed heap memory.  A CSV
+# block also ends at each multiple of _LOW, so its slots share their
+# digits above the last four
 _LOW = 10**4
 _CSV_BLOCK_SLOTS = _LOW
 # what follows a row's slot, by min(sender count, 2)
@@ -147,34 +149,36 @@ def _low_digits() -> np.ndarray:
     return table
 
 
-def _trace_csv_blocks(trace: channel.ChannelTrace) -> Iterator[bytes]:
-    """trace.csv bytes in blocks of at most ``_CSV_BLOCK_SLOTS`` slots."""
+def _trace_csv_blocks(blocks: Iterable[channel.TraceBlock], duration: int) -> Iterator[bytes]:
+    """trace.csv bytes of a run of ``duration`` slots, given as its blocks
+    in order, in pieces of at most ``_CSV_BLOCK_SLOTS`` slots."""
     yield b"slot,outcome,sender\n"
-    # row 2i: the decimal name of the sender of rank i and '+', row 2i + 1:
-    # its name and a newline; one NUL-padded record width for the file
-    # holds these and every row head
-    names = [b"%d%c" % (u, end) for u in trace.ids.tolist() for end in b"+\n"]
-    high_digits = len(str((trace.duration - 1) // _LOW)) if trace.duration > _LOW else 0
-    width = max([high_digits + 4 + max(map(len, _OUTCOME_WORDS)), *map(len, names)])
-    names = np.array(names, dtype=f"S{width}").view(f"V{width}")
-    lo = 0
-    while lo < trace.duration:
-        hi = min(lo + _CSV_BLOCK_SLOTS, (lo // _LOW + 1) * _LOW, trace.duration)
-        yield _trace_csv_block(trace, names, lo, hi)
-        lo = hi
+    high_digits = len(str((duration - 1) // _LOW)) if duration > _LOW else 0
+    for block in blocks:
+        # row 2i: the decimal name of the sender of rank i and '+', row
+        # 2i + 1: its name and a newline; one NUL-padded record width for
+        # the file holds these and every row head
+        names = [b"%d%c" % (u, end) for u in block.ids.tolist() for end in b"+\n"]
+        width = max([high_digits + 4 + max(map(len, _OUTCOME_WORDS)), *map(len, names)])
+        names = np.array(names, dtype=f"S{width}").view(f"V{width}")
+        lo, end = block.lo, block.lo + block.n_senders.size
+        while lo < end:
+            hi = min(lo + _CSV_BLOCK_SLOTS, (lo // _LOW + 1) * _LOW, end)
+            yield _trace_csv_block(block, names, lo, hi)
+            lo = hi
 
 
-def _trace_csv_block(trace: channel.ChannelTrace, names: np.ndarray, lo: int, hi: int) -> bytes:
-    """Rows lo..hi-1 of trace.csv, slots that share their digits above the
-    last four.  Each row head (slot digits and outcome word) and each
-    transmission (sender name, then '+' or a newline) is one NUL-padded
-    record of names' dtype.  The head of a row of n senders is repeated
-    n + 1 times, the row's transmissions overwrite the last n copies, and
-    the NULs are dropped."""
-    n = trace.n_senders[lo:hi]
-    first, last = np.searchsorted(trace.transmission_slot, [lo, hi])
-    row = trace.transmission_slot[first:last] - lo
-    rank = trace.transmission_rank[first:last]
+def _trace_csv_block(block: channel.TraceBlock, names: np.ndarray, lo: int, hi: int) -> bytes:
+    """Rows lo..hi-1 of trace.csv, slots of the block that share their
+    digits above the last four.  Each row head (slot digits and outcome
+    word) and each transmission (sender name, then '+' or a newline) is one
+    NUL-padded record of names' dtype.  The head of a row of n senders is
+    repeated n + 1 times, the row's transmissions overwrite the last n
+    copies, and the NULs are dropped."""
+    n = block.n_senders[lo - block.lo : hi - block.lo]
+    first, last = np.searchsorted(block.transmission_slot, [lo, hi])
+    row = block.transmission_slot[first:last] - lo
+    rank = block.transmission_rank[first:last]
 
     # the three heads, by min(n, 2): the digits above the last four, room
     # for those four, the outcome word
@@ -197,15 +201,25 @@ def _trace_csv_block(trace: channel.ChannelTrace, names: np.ndarray, lo: int, hi
 
 def _cmd_simulate(args) -> int:
     sc = channel.scenario_from_json(_read_json(args.scenario, "scenario"))
-    trace = channel.simulate(sc)
-    _write_atomic(args.out, _trace_csv_blocks(trace))
+    successes = collisions = 0
+
+    def counted(blocks: Iterable[channel.TraceBlock]) -> Iterator[channel.TraceBlock]:
+        nonlocal successes, collisions
+        for block in blocks:
+            successes += int(np.count_nonzero(block.n_senders == 1))
+            collisions += int(np.count_nonzero(block.n_senders >= 2))
+            yield block
+
+    blocks = channel.simulate_blocks(sc, channel.BLOCK_SLOTS)
+    _write_atomic(args.out, _trace_csv_blocks(counted(blocks), sc.duration))
     print(
-        f"{trace.duration} slots: {trace.total_successes} successes, "
-        f"{np.count_nonzero(trace.n_senders >= 2)} collision slots, "
-        f"throughput {_frac(trace.system_throughput)}"
+        f"{sc.duration} slots: {successes} successes, {collisions} collision slots, "
+        f"throughput {_frac(Fraction(successes, sc.duration))}"
     )
-    if args.activity:
-        print(str(channel.channel_activity(trace)))
+    if args.activity:  # a second pass, as the signal follows the summary line
+        for block in channel.simulate_blocks(sc, channel.BLOCK_SLOTS):
+            sys.stdout.write(str(channel.channel_activity(block)))
+        print()
     return 0
 
 
@@ -234,17 +248,14 @@ def _cmd_sync(args) -> int:
         raise ValueError(
             "sync does not support generator 0: the detector identifies generators 1..p-1"
         )
-    trace = channel.simulate(sc)
-    signal = channel.channel_activity(trace)
-    events = sync.run_detector(signal, sc.params)
+    detector = sync.ActivityDetector(sc.params)
+    events = [ev for block in channel.simulate_blocks(sc, channel.BLOCK_SLOTS)
+              for ev in detector.push(channel.channel_activity(block))]
     L = sc.params.L
-    rows = ["slot,event,user,start"]
-    for ev in events:
-        if isinstance(ev, sync.Activated):
-            rows.append(f"{ev.start + L},activated,{ev.user},{ev.start}")
-        else:
-            rows.append(f"{ev.at + L},deactivated,{ev.user},")
-    _write_atomic(args.emit, "\n".join(rows) + "\n")
+    rows = (b"%d,activated,%d,%d\n" % (ev.start + L, ev.user, ev.start)
+            if isinstance(ev, sync.Activated) else b"%d,deactivated,%d,\n" % (ev.at + L, ev.user)
+            for ev in events)
+    _write_atomic(args.emit, itertools.chain([b"slot,event,user,start\n"], rows))
 
     verdict = sync.judge(sc, events)
     print(f"{len(events)} events, {verdict}")

@@ -11,6 +11,7 @@ which is what the blind-synchronization machinery relies on.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -193,9 +194,14 @@ class BinarySequence:
         return np.flatnonzero(self.bits)
 
 
+@functools.lru_cache(maxsize=32)
 def generate_sequence(g: int, params: CrtParams) -> BinarySequence:
     """Protocol sequence of generator g: bit t is one iff the residue pair
-    of t lies in the characteristic set {(g*c mod p, c)}.  Weight is always q."""
+    of t lies in the characteristic set {(g*c mod p, c)}.  Weight is always q.
+
+    Memoised per (g, params): a receiver builds the same few sequences for
+    every scenario and session, and a BinarySequence's bits are read-only,
+    so callers can share one.  The cache holds 32 sequences, L bytes each."""
     if not 0 <= g < params.p:
         raise ValueError(f"generator {g} outside 0..{params.p - 1}")
     cols = np.arange(params.q)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -50,13 +49,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a long run holds one per session
 class Activated:
     user: int
     start: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deactivated:
     user: int
     at: int  # period boundary whose window failed to match
@@ -306,14 +305,14 @@ def sync_guarantee(p: int, q: int, active_count: int) -> Verdict:
 
 def _peak_active(sc: Scenario) -> int:
     """Most users active at once over the users' phase spans, clipped to
-    the simulated horizon."""
-    edges = []
-    for spans in sc.spans().values():
-        for a, b in spans:
-            if a < sc.duration:
-                edges += [(a, 1), (min(b, sc.duration), -1)]
-    # at equal slots an end sorts before a start
-    return max(accumulate(step for _, step in sorted(edges)), default=0)
+    the simulated horizon; the edges of a long run's many sessions are held
+    as int64 pairs, not as Python tuples."""
+    spans = np.fromiter((x for user in sc.spans().values() for span in user for x in span),
+                        dtype=np.int64).reshape(-1, 2)
+    edges = np.minimum(spans[spans[:, 0] < sc.duration], sc.duration).ravel()
+    steps = np.resize(np.array([1, -1]), edges.size)
+    # by slot, and at equal slots an end sorts before a start
+    return int(np.cumsum(steps[np.lexsort((steps, edges))]).max(initial=0))
 
 
 def _expected_activations(sc: Scenario) -> dict[int, set[int]]:

@@ -20,7 +20,8 @@ PUBLIC = {
     ],
     "crtseq.channel": [
         "IDLE", "SUCCESS", "COLLISION", "ActivitySignal", "check_codes", "UserSpec",
-        "Scenario", "ChannelTrace", "ThroughputReport", "simulate", "channel_activity",
+        "Scenario", "ChannelTrace", "TraceBlock", "ThroughputReport", "BLOCK_SLOTS",
+        "simulate_blocks", "simulate", "channel_activity",
         "construction_params", "throughput_lower_bound", "optimal_user_count",
         "peak_throughput_bound", "monte_carlo_throughput", "exhaustive_pair_throughput",
         "scenario_from_json",

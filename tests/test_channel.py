@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from crtseq.core import BinarySequence, CrtParams, Variant, generate_sequence
 from crtseq.channel import (
+    BLOCK_SLOTS,
     _SuccessCounter,
     ActivitySignal,
     Scenario,
@@ -24,6 +25,7 @@ from crtseq.channel import (
     peak_throughput_bound,
     scenario_from_json,
     simulate,
+    simulate_blocks,
     throughput_lower_bound,
 )
 from oracles import (
@@ -126,6 +128,17 @@ def scenarios(draw):
             users.append(UserSpec(uid, g, None, tuple(spans)))
     duration = draw(st.integers(1, 6 * L))
     return Scenario(params, tuple(users), duration, seed=draw(st.integers(0, 2**16)))
+
+
+# block sizes of simulate_blocks, by the scenario's period and duration
+BLOCK_SIZES = {
+    "1": lambda sc: 1,
+    "7": lambda sc: 7,
+    "L-1": lambda sc: sc.params.L - 1,
+    "L": lambda sc: sc.params.L,
+    "L+1": lambda sc: sc.params.L + 1,
+    "past the duration": lambda sc: sc.duration + 5,
+}
 
 
 class TestActivitySignal:
@@ -284,6 +297,49 @@ class TestSimulate:
     def test_session_clipped_by_duration(self):
         sc = Scenario(P35, (UserSpec(1, 0, None, ((0, 30),)),), 20)
         assert user_counts(simulate(sc))[0] == {1: 5 + 2}  # full period plus ones at 15, 18
+
+
+class TestSimulateBlocks:
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @given(scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_concatenate_to_the_run(self, size, scenario):
+        block = BLOCK_SIZES[size](scenario)
+        blocks = list(simulate_blocks(scenario, block))
+        trace = simulate(scenario)
+        assert [b.lo for b in blocks] == list(range(0, scenario.duration, block))
+        for b in blocks:
+            hi = min(b.lo + block, scenario.duration)
+            assert b.n_senders.size == hi - b.lo
+            assert np.all((b.lo <= b.transmission_slot) & (b.transmission_slot < hi))
+            assert np.array_equal(b.ids, trace.ids)
+        for field in ("n_senders", "transmission_slot", "transmission_rank"):
+            joined = np.concatenate([getattr(b, field) for b in blocks])
+            assert joined.dtype == getattr(trace, field).dtype
+            assert np.array_equal(joined, getattr(trace, field)), field
+
+    def test_rejects_an_empty_block(self):
+        sc = perm_scenario(P35, [(1, 1, 0)], 15)
+        for block in (0, -1):
+            with pytest.raises(ValueError, match="block must be a positive number of slots"):
+                next(simulate_blocks(sc, block))
+
+    def test_first_block_of_a_huge_horizon(self):
+        # 2**62 slots: a block costs its own slots, whatever the horizon
+        users = ((1, 1, 0), (2, 2, 4), (3, 0, None))
+        huge = next(simulate_blocks(perm_scenario(P35, users, 2**62), BLOCK_SLOTS))
+        small = simulate(perm_scenario(P35, users, BLOCK_SLOTS))
+        assert huge.lo == 0
+        for field in ("n_senders", "transmission_slot", "transmission_rank", "ids"):
+            assert np.array_equal(getattr(huge, field), getattr(small, field))
+
+    def test_session_that_straddles_blocks(self):
+        # one session of 3 periods and a bit, cut into blocks of 4 slots:
+        # every block restarts the expansion mid-period
+        sc = Scenario(P35, (UserSpec(1, 1, None, ((7, 53),)),), 60)
+        busy = [int(t) for b in simulate_blocks(sc, 4) for t in b.transmission_slot]
+        support = generate_sequence(1, P35).support().tolist()
+        assert busy == [t for t in range(7, 53) if (t - 7) % 15 in support]
 
 
 class TestBounds:

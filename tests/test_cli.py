@@ -3,6 +3,9 @@ import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -16,7 +19,7 @@ from crtseq.cli import main
 from crtseq.core import CrtParams, generate_sequence
 from crtseq.correlation import correlation_spectrum
 from oracles import read_sequence_file
-from test_channel import oracle_senders, outcome, scenarios
+from test_channel import BLOCK_SIZES, oracle_senders, outcome, scenarios
 
 FAILURE_SCENARIO = {
     "p": 7,
@@ -66,6 +69,12 @@ COMPARE_GOLDEN = (
     b"wobbling,1874161,1/37,not computed\n"
     b"shift-invariant,exponential(p),0/1,not computed\n"
 )
+
+
+def streamed_trace_csv(scenario, block: int = channel.BLOCK_SLOTS) -> str:
+    """trace.csv as the writer streams it from the run's blocks."""
+    blocks = channel.simulate_blocks(scenario, block)
+    return b"".join(cli._trace_csv_blocks(blocks, scenario.duration)).decode()
 
 
 def oracle_trace_csv(scenario) -> str:
@@ -170,7 +179,16 @@ class TestSimulate:
     def test_trace_csv_blocks_match_definition(self, scenario, block):
         # blocks of a few slots put collision rows on both sides of block edges
         with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
-            text = b"".join(cli._trace_csv_blocks(channel.simulate(scenario))).decode()
+            text = streamed_trace_csv(scenario)
+        assert text == oracle_trace_csv(scenario)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @given(scenarios())
+    @settings(max_examples=25, deadline=None)
+    def test_trace_csv_of_any_run_blocks(self, size, scenario):
+        # the writer reads the run as simulate_blocks streams it, at block
+        # sizes that cut periods, sessions and CSV blocks anywhere
+        text = streamed_trace_csv(scenario, BLOCK_SIZES[size](scenario))
         assert text == oracle_trace_csv(scenario)
 
     @pytest.mark.parametrize("block", [1, 7, 10, 1 << 16])
@@ -187,7 +205,7 @@ class TestSimulate:
         trace = channel.simulate(scenario)
         assert all(trace.n_senders[t] >= 3 for t in (9, 10, 99, 100, 999, 1000))
         with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
-            text = b"".join(cli._trace_csv_blocks(trace)).decode()
+            text = streamed_trace_csv(scenario)
         assert "\n999,collision,3+42+365\n1000,collision,7+42+58+512\n" in text
         assert text == oracle_trace_csv(scenario)
 
@@ -212,7 +230,7 @@ class TestSimulate:
         trace = channel.simulate(scenario)
         assert all(trace.n_senders[t] >= 3 for t in (9999, 10_000, 99_999, 100_000))
         with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
-            text = b"".join(cli._trace_csv_blocks(trace)).decode()
+            text = streamed_trace_csv(scenario)
         assert "\n9999,collision,3+42+365\n10000,collision,7+42+58+512\n" in text
         assert "\n99999,collision,3+42+365\n100000,collision,7+42+58+512\n" in text
         assert text == expected
@@ -228,7 +246,7 @@ class TestSimulate:
         trace = channel.simulate(scenario)
         assert trace.ids.tolist() == sorted(ids + (-7,))  # the writer names rank r by ids[r]
         with mock.patch.object(cli, "_CSV_BLOCK_SLOTS", block):
-            text = b"".join(cli._trace_csv_blocks(trace)).decode()
+            text = streamed_trace_csv(scenario)
         assert text.startswith(
             "slot,outcome,sender\n0,collision,-9223372036854775808+-10+-7+-1+0+9223372036854775807\n"
         )
@@ -278,6 +296,25 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: no room for block 3\n")
         assert starts == [0, 5, 10]  # two blocks written to the temp file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+        # the same when the run itself fails in its third block of 5 slots:
+        # its five users expand their spans once per block
+        monkeypatch.setattr(cli, "_trace_csv_block", block)
+        monkeypatch.setattr(channel, "BLOCK_SLOTS", 5)
+        expand, calls = channel._transmission_slots, []
+
+        def fail_in_third_block(*args):
+            calls.append(args[-2])  # the block's first slot
+            if len(calls) == 11:
+                raise MemoryError("no room for run block 3")
+            return expand(*args)
+
+        monkeypatch.setattr(channel, "_transmission_slots", fail_in_third_block)
+        assert main(["simulate", "--scenario", str(failure_scenario), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: no room for run block 3\n")
+        assert calls == [0] * 5 + [5] * 5 + [10]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
     def test_trace_csv_blocks_join_seamlessly(self, tmp_path, capsys, failure_scenario,
@@ -898,17 +935,65 @@ def test_input_file_that_is_not_an_object_is_named(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["simulate", "sync"])
 def test_scenario_too_large_for_memory_is_usage_error(tmp_path, capsys, command):
-    # a permanent user transmits in every period of 2**62 slots: the slot
-    # array would need far more bytes than any address space holds, so
-    # numpy refuses it before touching memory
+    # a period of 7 * 2**58 slots: one sequence's 2**58 columns would need
+    # far more bytes than any address space holds, so numpy refuses them
+    # before touching memory (a long duration is no such case: the run
+    # streams in blocks of BLOCK_SLOTS slots)
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(dict(FAILURE_SCENARIO, duration=2**62)))
+    path.write_text(json.dumps(dict(FAILURE_SCENARIO, q=2**58)))
     out_flag = "--out" if command == "simulate" else "--emit"
     code = main([command, "--scenario", str(path), out_flag, str(tmp_path / "out.csv")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: Unable to allocate") and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def stretched_scenario(duration: int) -> dict:
+    """Six users at (7, 101) for ``duration`` slots: two permanent users,
+    one of whose spans starts below slot 0, and four session users with
+    four sessions each, stretched over the horizon, so that the file is the
+    same size at every duration."""
+    L, quarter = 7 * 101, duration // 4
+    users = [{"id": 1, "g": 1, "offset": 0}, {"id": 2, "g": 2, "offset": 300}]
+    users += [{"id": g, "g": g, "sessions": [[k * quarter + 50 * g, (k + 1) * quarter - L]
+                                             for k in range(4)]}
+              for g in range(3, 7)]
+    return {"p": 7, "q": 101, "variant": "mod", "duration": duration, "users": users}
+
+
+# runs main on its argv in a fresh interpreter and reports the peak
+# resident set of the interpreter's own memory, VmHWM in KiB: ru_maxrss
+# would also count the parent's, which a child keeps across exec
+PEAK_CHILD = (
+    "import re, sys\n"
+    "from crtseq.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1], file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("command", ["simulate", "sync"])
+def test_peak_memory_does_not_grow_with_duration(tmp_path, command):
+    # the run streams in blocks of BLOCK_SLOTS slots, so 5M slots peak
+    # within a few MiB of 100k slots; held whole, 5M slots took over 100 MiB
+    pythonpath = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    out_flag = "--out" if command == "simulate" else "--emit"
+    peaks = []
+    for duration in (100_000, 5_000_000):
+        path, out = tmp_path / f"{duration}.json", tmp_path / f"{duration}.csv"
+        path.write_text(json.dumps(stretched_scenario(duration)))
+        run = subprocess.run([sys.executable, "-c", PEAK_CHILD, command, "--scenario", str(path),
+                              out_flag, str(out)], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert (f"{duration} slots: " if command == "simulate" else " events, ") in run.stdout
+        out.unlink()  # a 5M-slot trace.csv is about 100 MB
+        peaks.append(int(run.stderr.split()[-1]) / 1024)
+    assert peaks[1] - peaks[0] < 8, f"peak {peaks[0]:.1f} MiB at 100k slots, {peaks[1]:.1f} at 5M"
 
 
 @pytest.mark.parametrize(
@@ -960,7 +1045,7 @@ class TestOneParserPerProcess:
         }))
         argv = ["sync", "--scenario", str(scenario), "--emit", str(tmp_path / "events.csv")]
         # a detector that reports nothing misses user 1 inside the guarantee
-        with mock.patch.object(cli.sync, "run_detector", return_value=[]):
+        with mock.patch.object(cli.sync.ActivityDetector, "push", return_value=[]):
             assert main(argv + ["--assert-guarantee"]) == 1
             assert "guarantee violated" in capsys.readouterr().err
             after, fresh = self.after_and_fresh(argv, capsys)

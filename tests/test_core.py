@@ -173,6 +173,16 @@ class TestSequences:
     def test_modified_support(self):
         assert list(generate_sequence(6, M78).support()) == [0, 49, 50, 51, 52, 53, 54, 55]
 
+    def test_memoised_sequence_is_read_only(self):
+        # callers share the memoised sequence of (g, params), so its bits
+        # must refuse writes, and a second call returns an equal sequence
+        first = generate_sequence(3, M78)
+        with pytest.raises(ValueError, match="read-only"):
+            first.bits[0] = 1 - first.bits[0]
+        assert generate_sequence(3, CrtParams(7, 8, Variant.MODIFIED)) == first
+        assert str(generate_sequence(3, M78)) == str(first)
+        assert generate_sequence(3, CrtParams(7, 8)) != first  # the variant is part of the key
+
     @pytest.mark.parametrize("params", GRID)
     def test_weight_is_q(self, params):
         for g in range(params.p):

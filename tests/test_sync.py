@@ -23,6 +23,7 @@ from crtseq.channel import (
     channel_activity,
     scenario_from_json,
     simulate,
+    simulate_blocks,
 )
 from crtseq.sync import (
     Activated,
@@ -36,6 +37,7 @@ from crtseq.sync import (
     sync_guarantee,
 )
 from oracles import characteristic_set
+from test_channel import scenarios
 
 M78 = CrtParams(7, 8, Variant.MODIFIED)
 M551 = CrtParams(5, 51, Variant.MODIFIED)
@@ -204,6 +206,20 @@ class TestDetector:
             sc = Scenario(M78, tuple(users), duration=4 * L)
             sig = channel_activity(simulate(sc))
             assert push_each(ActivityDetector(M78), sig) == run_detector(sig, M78)
+
+    @given(scenarios(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_detector_fed_block_by_block(self, scenario, data):
+        # as sync streams a run: permanent users' spans start below slot 0,
+        # sessions straddle the block edges, and the duration is mostly not
+        # a multiple of the block
+        L = scenario.params.L
+        block = data.draw(st.integers(1, 3 * L) | st.just(scenario.duration + 1), label="block")
+        det = ActivityDetector(scenario.params)
+        streamed = [ev for b in simulate_blocks(scenario, block)
+                    for ev in det.push(channel_activity(b))]
+        assert det.time == scenario.duration
+        assert streamed == run_detector(channel_activity(simulate(scenario)), scenario.params)
 
     @given(chunked_signals())
     @settings(max_examples=100, deadline=None)
