@@ -34,7 +34,6 @@ __all__ = [
     "check_codes",
     "UserSpec",
     "Scenario",
-    "ChannelTrace",
     "TraceBlock",
     "ThroughputReport",
     "BLOCK_SLOTS",
@@ -150,7 +149,9 @@ class Scenario:
                         raise ValueError(
                             f"user {u.user_id}: session {field} {slot} outside the int64 range"
                         )
-                if a < 0 or b - a < L:
+                if a < 0:
+                    raise ValueError(f"user {u.user_id}: session [{a},{b}) starts before slot 0")
+                if b - a < L:
                     raise ValueError(f"user {u.user_id}: session [{a},{b}) "
                                      "shorter than one period")
                 if prev and a < prev[0]:
@@ -189,37 +190,13 @@ class Scenario:
         }
 
 
-@dataclass
-class ChannelTrace:
-    """Outcome of a simulation run.
-
-    ``n_senders[t]`` counts slot t's transmitters; ``transmission_slot``/``transmission_rank``
-    hold every transmission's (slot, sender rank) pair, sorted by slot, then
-    rank; ``ids`` holds every user's id in ascending order, so rank r is user
-    ``ids[r]``.
-    """
-
-    duration: int
-    n_senders: np.ndarray
-    transmission_slot: np.ndarray
-    transmission_rank: np.ndarray
-    ids: np.ndarray
-
-    @property
-    def total_successes(self) -> int:
-        return int(np.count_nonzero(self.n_senders == 1))
-
-    @property
-    def system_throughput(self) -> Fraction:
-        return Fraction(self.total_successes, self.duration)
-
-
 @dataclass(frozen=True)
 class TraceBlock:
-    """Slots [lo, lo + len(n_senders)) of a run, laid out as ChannelTrace:
-    ``n_senders[t - lo]`` counts slot t's transmitters, and the block's
-    transmissions are (slot, rank) pairs sorted by slot, then rank, with
-    rank r naming user ``ids[r]`` of the run's sorted id table."""
+    """Slots [lo, lo + len(n_senders)) of a run: ``n_senders[t - lo]``
+    counts slot t's transmitters; ``transmission_slot``/``transmission_rank``
+    hold the block's every transmission as a (slot, sender rank) pair,
+    sorted by slot, then rank; ``ids`` holds every user's id in ascending
+    order, so rank r is user ``ids[r]``."""
 
     lo: int
     n_senders: np.ndarray
@@ -278,21 +255,14 @@ def simulate_blocks(scenario: Scenario, block: int) -> Iterator[TraceBlock]:
         yield TraceBlock(lo, np.bincount(slot - lo, minlength=hi - lo), slot, rank, ids)
 
 
-def simulate(scenario: Scenario) -> ChannelTrace:
-    """The whole run: the concatenation of ``simulate_blocks``."""
-    blocks = list(simulate_blocks(scenario, BLOCK_SLOTS))
-    return ChannelTrace(
-        duration=scenario.duration,
-        n_senders=np.concatenate([b.n_senders for b in blocks]),
-        transmission_slot=np.concatenate([b.transmission_slot for b in blocks]),
-        transmission_rank=np.concatenate([b.transmission_rank for b in blocks]),
-        ids=blocks[0].ids,
-    )
+def simulate(scenario: Scenario) -> TraceBlock:
+    """The whole run as one block, from slot 0 to the duration."""
+    return next(simulate_blocks(scenario, scenario.duration))
 
 
-def channel_activity(trace: ChannelTrace | TraceBlock) -> ActivitySignal:
-    """The activity codes of a run's slots, or of a block's."""
-    return ActivitySignal(np.minimum(trace.n_senders, 2, dtype=np.int8))
+def channel_activity(block: TraceBlock) -> ActivitySignal:
+    """The activity codes of a block's slots."""
+    return ActivitySignal(np.minimum(block.n_senders, 2, dtype=np.int8))
 
 
 # --- worst-case bounds for the q = k*p - 1 family ---

@@ -33,7 +33,6 @@ __all__ = [
     "reduced_generator",
     "predicted_distribution",
     "predicted_autocorrelation",
-    "pairwise_epsilon",
     "epsilon_uniformity",
     "crt_epsilon",
 ]
@@ -250,12 +249,6 @@ def _epsilon(a_supports: np.ndarray, b_supports: np.ndarray, L: int) -> Fraction
         )
         lo, hi = min(lo, int(counts.min())), max(hi, int(counts.max()))
     return _deviation(lo, hi, w, L)
-
-
-def pairwise_epsilon(a: BinarySequence, b: BinarySequence) -> Fraction:
-    """Largest relative deviation of the pair's correlation from its
-    shift-averaged mean, as an exact rational."""
-    return correlation_spectrum(a, b).epsilon
 
 
 def epsilon_uniformity(sequences: Sequence[BinarySequence]) -> Fraction:

@@ -31,7 +31,6 @@ __all__ = [
     "GF",
     "PRIMITIVE_POLYS",
     "session_params",
-    "code_dimension",
     "CodeSpec",
     "ErasureCode",
     "DecodeFailure",
@@ -116,23 +115,6 @@ def session_params(p: int, k: int) -> CrtParams:
     return CrtParams(p, k * p + 1, Variant.MODIFIED)
 
 
-def code_dimension(p: int, k: int) -> int:
-    """Per-period information dimension (k*p + k - p + 3) / 2.
-
-    This is the guaranteed number of surviving packets per period when
-    (p+1)/2 users are active in ``session_params(p, k)``: each of the other
-    (p+1)/2 - 1 users erases at most k + 1 of the q sent packets.  The
-    numerator (k - 1)(p + 1) + 4 is even because p is odd.
-    """
-    return _dimension(session_params(p, k))  # rejects (p, k) outside the family
-
-
-def _dimension(params: CrtParams) -> int:
-    """code_dimension of params = session_params(p, k), whose q // p is k."""
-    p, k = params.p, params.q // params.p
-    return (k * p + k - p + 3) // 2
-
-
 def _field_order_for(n: int) -> int:
     order = 8
     while order < n:
@@ -164,9 +146,16 @@ class CodeSpec:
     @classmethod
     def _of(cls, params: CrtParams) -> "CodeSpec":
         """for_protocol of params = session_params(p, k), read without
-        validating (p, k) again."""
-        n = params.q
-        return cls(n=n, dim=_dimension(params), field_order=_field_order_for(n))
+        validating (p, k) again.
+
+        dim = (k*p + k - p + 3) / 2 is the guaranteed number of surviving
+        packets per period when (p+1)/2 users are active: each of the other
+        (p+1)/2 - 1 users erases at most k + 1 of the q sent packets.  The
+        numerator (k - 1)(p + 1) + 4 is even because p is odd.
+        """
+        p, n = params.p, params.q
+        k = n // p  # n = q = k*p + 1
+        return cls(n=n, dim=(k * p + k - p + 3) // 2, field_order=_field_order_for(n))
 
     @property
     def max_erasures(self) -> int:

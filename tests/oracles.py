@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from crtseq.channel import COLLISION, IDLE, SUCCESS, ActivitySignal, ChannelTrace, Scenario
+from crtseq.channel import COLLISION, IDLE, SUCCESS, ActivitySignal, Scenario, TraceBlock
 from crtseq.core import BinarySequence, CrtParams, GridPoint, Variant, crt_inverse, crt_map
 from crtseq.correlation import CrossParams
 from crtseq.erasure import GF
@@ -178,16 +178,16 @@ def activity_from_string(text: str) -> ActivitySignal:
     return ActivitySignal(codes)
 
 
-def user_counts(trace: ChannelTrace) -> tuple[dict[int, int], dict[int, int]]:
-    """Each user's sent and succeeded transmissions in trace, by id, one
-    transmission at a time: a transmission succeeds when it is alone in its
-    slot."""
+def user_counts(trace: TraceBlock) -> tuple[dict[int, int], dict[int, int]]:
+    """Each user's sent and succeeded transmissions in a block of a run, by
+    id, one transmission at a time: a transmission succeeds when it is alone
+    in its slot."""
     ids = trace.ids.tolist()
     sent = dict.fromkeys(ids, 0)
     succeeded = dict(sent)
     for t, r in zip(trace.transmission_slot.tolist(), trace.transmission_rank.tolist()):
         sent[ids[r]] += 1
-        succeeded[ids[r]] += int(trace.n_senders[t] == 1)
+        succeeded[ids[r]] += int(trace.n_senders[t - trace.lo] == 1)
     return sent, succeeded
 
 

@@ -16,11 +16,11 @@ PUBLIC = {
     "crtseq.correlation": [
         "CorrelationSpectrum", "CrossParams", "UnsupportedParameters", "correlation_spectrum",
         "cross_params", "predicted_cross_range", "reduced_generator", "predicted_distribution",
-        "predicted_autocorrelation", "pairwise_epsilon", "epsilon_uniformity", "crt_epsilon",
+        "predicted_autocorrelation", "epsilon_uniformity", "crt_epsilon",
     ],
     "crtseq.channel": [
         "IDLE", "SUCCESS", "COLLISION", "ActivitySignal", "check_codes", "UserSpec",
-        "Scenario", "ChannelTrace", "TraceBlock", "ThroughputReport", "BLOCK_SLOTS",
+        "Scenario", "TraceBlock", "ThroughputReport", "BLOCK_SLOTS",
         "simulate_blocks", "simulate", "channel_activity",
         "construction_params", "throughput_lower_bound", "optimal_user_count",
         "peak_throughput_bound", "monte_carlo_throughput", "exhaustive_pair_throughput",
@@ -31,7 +31,7 @@ PUBLIC = {
         "Verdict", "sync_guarantee", "judge", "slot_matrix", "partial_cross_correlation",
     ],
     "crtseq.erasure": [
-        "GF", "PRIMITIVE_POLYS", "session_params", "code_dimension", "CodeSpec",
+        "GF", "PRIMITIVE_POLYS", "session_params", "CodeSpec",
         "ErasureCode", "DecodeFailure", "PayloadError", "session_roundtrip", "SessionReport",
     ],
     "crtseq.baselines": ["BaselineFamily", "prime_sequences", "extended_prime_sequences"],

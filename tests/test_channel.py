@@ -68,6 +68,11 @@ def oracle_senders(scenario):
     ]
 
 
+def successes(trace):
+    """Slots of the trace with exactly one transmitter."""
+    return int(np.count_nonzero(trace.n_senders == 1))
+
+
 def outcome(senders):
     """A slot read as ("idle",), ("success", sender) or ("collision", senders)."""
     if not senders:
@@ -139,6 +144,21 @@ BLOCK_SIZES = {
     "L+1": lambda sc: sc.params.L + 1,
     "past the duration": lambda sc: sc.duration + 5,
 }
+
+# three session users at (5, 51), L = 255, over two blocks of BLOCK_SLOTS and
+# a bit: sessions straddle both block edges, and the last one runs past the
+# end of the run
+LONG_SESSIONS = Scenario(
+    CrtParams(5, 51, Variant.MODIFIED),
+    (UserSpec(1, 1, None, ((100, 65_600), (66_000, 131_000))),
+     UserSpec(-2, 2, None, ((65_000, 131_100),)),
+     UserSpec(7, 4, None, ((0, 40_000), (131_000, 140_000)))),
+    2 * BLOCK_SLOTS + 1000,
+)
+# the scenarios that each block size splits, by test id: every size of
+# BLOCK_SIZES on small scenarios, and the CLI's BLOCK_SLOTS on a long one
+SPLITS = {size: (scenarios(), block) for size, block in BLOCK_SIZES.items()}
+SPLITS["BLOCK_SLOTS"] = (st.just(LONG_SESSIONS), lambda sc: BLOCK_SLOTS)
 
 
 class TestActivitySignal:
@@ -225,7 +245,7 @@ class TestSimulate:
         for off in (0, 7):
             sc = perm_scenario(P35, [(1, 1, off)], 15)
             trace = simulate(sc)
-            assert trace.system_throughput == Fraction(1, 3)
+            assert Fraction(successes(trace), sc.duration) == Fraction(1, 3)
             assert user_counts(trace) == ({1: 5}, {1: 5})
 
     def test_single_user_signal_mirrors_sequence(self):
@@ -235,12 +255,12 @@ class TestSimulate:
     def test_empty_scenario_is_all_idle(self):
         trace = simulate(Scenario(P35, (), 15))
         assert str(channel_activity(trace)) == "0" * 15
-        assert trace.total_successes == 0
+        assert successes(trace) == 0
 
     def test_two_users_lose_exactly_the_overlap(self):
         sc = perm_scenario(P35, [(1, 1, 0), (2, 2, 0)], 15)
         trace = simulate(sc)
-        assert trace.total_successes == 6  # each weight 5, overlap 2 at zero offset
+        assert successes(trace) == 6  # each weight 5, overlap 2 at zero offset
         assert user_counts(trace)[1] == {1: 3, 2: 3}
 
     def test_per_user_successes_match_correlation(self):
@@ -300,18 +320,22 @@ class TestSimulate:
 
 
 class TestSimulateBlocks:
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @given(scenarios())
+    @pytest.mark.parametrize("size", SPLITS)
+    @given(st.data())
     @settings(max_examples=40, deadline=None)
-    def test_blocks_concatenate_to_the_run(self, size, scenario):
-        block = BLOCK_SIZES[size](scenario)
+    def test_blocks_concatenate_to_the_run(self, size, data):
+        runs, block_of = SPLITS[size]
+        scenario = data.draw(runs)
+        block = block_of(scenario)
         blocks = list(simulate_blocks(scenario, block))
         trace = simulate(scenario)
+        assert trace.lo == 0
         assert [b.lo for b in blocks] == list(range(0, scenario.duration, block))
         for b in blocks:
             hi = min(b.lo + block, scenario.duration)
             assert b.n_senders.size == hi - b.lo
             assert np.all((b.lo <= b.transmission_slot) & (b.transmission_slot < hi))
+            assert b.ids.dtype == trace.ids.dtype
             assert np.array_equal(b.ids, trace.ids)
         for field in ("n_senders", "transmission_slot", "transmission_rank"):
             joined = np.concatenate([getattr(b, field) for b in blocks])

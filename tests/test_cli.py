@@ -387,14 +387,16 @@ class TestSync:
         assert "295,activated,1,40" in lines
         assert "255,activated,2,0" in lines
 
-    # one user's two sessions at (5, 51), L = 255: listed in reverse, or in
-    # order 200 < L slots apart, they exit 2; in order 300 >= L apart they run
+    # one user's sessions at (5, 51), L = 255: listed in reverse, in order
+    # 200 < L slots apart, or one that starts before slot 0, they exit 2; in
+    # order 300 >= L apart they run
     @pytest.mark.parametrize(
         ("sessions", "message"),
         [([[600, 900], [10, 300]], "user 1: sessions out of order: [10,300) listed after "
                                    "[600,900)"),
-         ([[10, 300], [500, 900]], "user 1: inter-session gap below one period")],
-        ids=["out-of-order", "short-gap"],
+         ([[10, 300], [500, 900]], "user 1: inter-session gap below one period"),
+         ([[-5, 600]], "user 1: session [-5,600) starts before slot 0")],
+        ids=["out-of-order", "short-gap", "before-slot-0"],
     )
     def test_sessions_out_of_order_or_too_close(self, tmp_path, capsys, sessions, message):
         scenario = {"p": 5, "q": 51, "variant": "mod", "duration": 1000,

@@ -31,7 +31,6 @@ from crtseq.correlation import (
     cross_params,
     crt_epsilon,
     epsilon_uniformity,
-    pairwise_epsilon,
     predicted_autocorrelation,
     predicted_cross_range,
     predicted_distribution,
@@ -329,7 +328,7 @@ class TestEpsilonUniformity:
 
     def test_rejects_zero_weight(self):
         with pytest.raises(ValueError):
-            pairwise_epsilon(S[0], BinarySequence(np.zeros(15, dtype=np.uint8)))
+            correlation_spectrum(S[0], BinarySequence(np.zeros(15, dtype=np.uint8))).epsilon
 
     def test_rejects_single_or_mixed_lengths(self):
         with pytest.raises(ValueError):
@@ -476,7 +475,7 @@ class TestSpectrumKernel:
         ]
         with mock.patch.object(correlation, "_CHUNK", chunk):
             got = epsilon_uniformity(family)
-            assert pairwise_epsilon(family[0], family[1]) == oracle_epsilon(family[:2])
+            assert correlation_spectrum(family[0], family[1]).epsilon == oracle_epsilon(family[:2])
         assert got == oracle_epsilon(family)
 
     def test_baseline_families_are_one_uniform(self):

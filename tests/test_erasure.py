@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,6 @@ from crtseq.erasure import (
     ErasureCode,
     GF,
     PayloadError,
-    code_dimension,
     session_params,
     session_roundtrip,
 )
@@ -24,21 +24,21 @@ from oracles import ScalarGF
 
 class TestDimension:
     def test_reference_values(self):
-        assert code_dimension(19, 19) == 182
-        assert code_dimension(5, 5) == 14
+        assert CodeSpec.for_protocol(19, 19).dim == 182
+        assert CodeSpec.for_protocol(5, 5).dim == 14
 
     def test_positive_on_a_grid(self):
         for p in (3, 5, 7, 11, 13, 19):
             for k in range(p, 3 * p):
-                assert code_dimension(p, k) > 0
+                assert CodeSpec.for_protocol(p, k).dim > 0
 
     def test_rejects_k_below_p(self):
         with pytest.raises(ValueError):
-            code_dimension(5, 4)
+            CodeSpec.for_protocol(5, 4)
 
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
-            code_dimension(9, 9)
+            CodeSpec.for_protocol(9, 9)
 
 
 class TestSessionParams:
@@ -344,7 +344,9 @@ class TestSessionRoundtrip:
     def test_over_budget_user_lowers_measured_throughput(self, monkeypatch):
         # force dimension n - 1, a budget of one erasure per user, so that
         # colliding users fail while the formula still counts them
-        monkeypatch.setattr(erasure, "_dimension", lambda params: params.q - 1)
+        of = CodeSpec._of
+        monkeypatch.setattr(CodeSpec, "_of", classmethod(
+            lambda cls, params: dataclasses.replace(of(params), dim=params.q - 1)))
         report = session_roundtrip(5, 5, (1, 2, 3), (3, 40, 77))
         failed = [g for g, ok in report.recovered_ok.items() if not ok]
         assert failed and not report.all_recovered
