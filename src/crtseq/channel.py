@@ -168,12 +168,15 @@ class Scenario:
 
     def resolved_offsets(self) -> dict[int, int]:
         """Offsets per user id, sampling unspecified permanent offsets from
-        the scenario seed (in user order, so the draw is reproducible)."""
-        rng = np.random.default_rng(self.seed)
+        the scenario seed (in user order, so the draw is reproducible).  The
+        Generator, and with it numpy.random, is built only when some
+        permanent offset is unspecified."""
+        permanent = [u for u in self.users if u.sessions is None]
+        drawn = any(u.offset is None for u in permanent)
+        rng = np.random.default_rng(self.seed) if drawn else None
         return {
             u.user_id: int(rng.integers(0, self.params.L)) if u.offset is None else u.offset
-            for u in self.users
-            if u.sessions is None
+            for u in permanent
         }
 
     def spans(self) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -358,8 +361,8 @@ class _SuccessCounter:
         bad = starts[(starts < 0) | (starts >= L)]
         if bad.size:
             raise ValueError(f"offset {bad[0]} outside 0..{L - 1}")
-        np.negative(starts, out=starts)
-        starts %= L  # w = (-tau) mod L
+        np.subtract(L, starts, out=starts)
+        starts[starts == L] = 0  # w = (-tau) mod L: L - tau, and 0 at tau = 0
         word = starts >> 6
         starts &= 63
         starts *= self._row

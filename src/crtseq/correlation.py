@@ -220,7 +220,7 @@ def _count_spectra(a_supports: np.ndarray, b_supports: np.ndarray, L: int) -> np
     counts = 0
     for j in range(0, max(w_a, 1), rows):
         diffs = a_supports[:, j : j + rows, None] - b
-        diffs %= L
+        diffs += (diffs >> 63) & L  # x - y mod L: both supports lie in [0, L)
         diffs += base
         counts += np.bincount(diffs.ravel(), minlength=m * L)
     return counts.reshape(m, L)

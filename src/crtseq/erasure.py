@@ -20,6 +20,8 @@ parity matrix once per code, the decoding matrix once per erasure pattern.
 
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,6 +77,7 @@ class GF:
         if x != 1:
             raise ValueError(f"polynomial {poly:#b} is not primitive for order {order}")
         exp[order - 1 :] = exp[: order - 1]
+        exp.flags.writeable = log.flags.writeable = False  # shared by memoised codes
         self._exp, self._log = exp, log
 
     def lagrange_logs(self, pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -182,6 +185,7 @@ class ErasureCode:
         self._parity_logs = self.field.lagrange_logs(
             np.arange(spec.dim), np.arange(spec.dim, spec.n)
         )
+        self._parity_logs.flags.writeable = False
 
     def encode(self, info) -> np.ndarray:
         """The codeword of the information symbols ``info``.  This is the
@@ -239,6 +243,14 @@ class ErasureCode:
         return info
 
 
+@functools.lru_cache(maxsize=16)
+def _code(spec: CodeSpec) -> ErasureCode:
+    """``ErasureCode(spec)``, memoised per spec as ``generate_sequence`` is
+    per generator: a receiver decodes many sessions of the same few shapes,
+    and a code's tables are read-only, so sessions can share one."""
+    return ErasureCode(spec)
+
+
 @dataclass(frozen=True)
 class SessionReport:
     """Outcome of one session round trip.
@@ -278,6 +290,9 @@ def session_roundtrip(
     This is the one check of given payloads: a generator without one, a
     payload for a generator that is not active, or one that
     ``ErasureCode.encode`` rejects, raises PayloadError naming the generator.
+    Without ``payloads``, each generator in turn draws dim symbols from one
+    ``random.Random(seed)``: 2*dim bytes read as little-endian uint16 and
+    masked to the field, uniform because every supported order divides 2^16.
     """
     params = session_params(p, k)
     if len(generators) != len(offsets):
@@ -291,13 +306,16 @@ def session_roundtrip(
     bad = [tau for tau in offsets if not 0 <= tau < params.L]
     if bad:
         raise ValueError(f"offset {bad[0]} outside 0..{params.L - 1}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
     spec = CodeSpec._of(params)
-    code = ErasureCode(spec)
-    rng = np.random.default_rng(seed)
+    code = _code(spec)
     if payloads is None:
+        draw = random.Random(seed).randbytes
         payloads = {
-            g: rng.integers(0, spec.field_order, size=spec.dim) for g in generators
+            g: np.frombuffer(draw(2 * spec.dim), dtype="<u2") & (spec.field_order - 1)
+            for g in generators
         }
     missing = [g for g in generators if g not in payloads]
     if missing:

@@ -232,6 +232,16 @@ class TestScenarioValidation:
         other = Scenario(sc.params, sc.users, sc.duration, seed=99)
         assert sc.resolved_offsets() != other.resolved_offsets()
 
+    def test_sampled_offsets_are_the_recorded_draws(self):
+        # recorded while the Generator was built for every scenario: drawing
+        # only where an offset is unspecified keeps the draws in user order
+        params = CrtParams(7, 101, Variant.MODIFIED)
+        users = (UserSpec(5, 1, None), UserSpec(2, 2, 40),
+                 UserSpec(9, 3, None, ((0, 707),)), UserSpec(-3, 4, None))
+        drawn = {seed: Scenario(params, users, 1000, seed=seed).resolved_offsets()
+                 for seed in (0, 2024)}
+        assert drawn == {0: {5: 601, 2: 40, -3: 450}, 2024: {5: 170, 2: 40, -3: 477}}
+
     def test_spans_of_both_user_kinds(self):
         users = (UserSpec(4, 1, 6), UserSpec(2, 2, None, ((3, 20), (40, 60))), UserSpec(9, 0))
         sc = Scenario(P35, users, 50, seed=5)

@@ -964,6 +964,12 @@ def stretched_scenario(duration: int) -> dict:
     return {"p": 7, "q": 101, "variant": "mod", "duration": duration, "users": users}
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this crtseq."""
+    pythonpath = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
 # runs main on its argv in a fresh interpreter and reports the peak
 # resident set of the interpreter's own memory, VmHWM in KiB: ru_maxrss
 # would also count the parent's, which a child keeps across exec
@@ -982,20 +988,79 @@ PEAK_CHILD = (
 def test_peak_memory_does_not_grow_with_duration(tmp_path, command):
     # the run streams in blocks of BLOCK_SLOTS slots, so 5M slots peak
     # within a few MiB of 100k slots; held whole, 5M slots took over 100 MiB
-    pythonpath = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     out_flag = "--out" if command == "simulate" else "--emit"
     peaks = []
     for duration in (100_000, 5_000_000):
         path, out = tmp_path / f"{duration}.json", tmp_path / f"{duration}.csv"
         path.write_text(json.dumps(stretched_scenario(duration)))
         run = subprocess.run([sys.executable, "-c", PEAK_CHILD, command, "--scenario", str(path),
-                              out_flag, str(out)], env=env, capture_output=True, text=True)
+                              out_flag, str(out)], env=_child_env(), capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert (f"{duration} slots: " if command == "simulate" else " events, ") in run.stdout
         out.unlink()  # a 5M-slot trace.csv is about 100 MB
         peaks.append(int(run.stderr.split()[-1]) / 1024)
     assert peaks[1] - peaks[0] < 8, f"peak {peaks[0]:.1f} MiB at 100k slots, {peaks[1]:.1f} at 5M"
+
+
+# runs main on its argv in a fresh interpreter and prints two lines: the
+# numpy.random modules that a bare `import numpy` loaded, then those loaded
+# after the command
+RNG_CHILD = (
+    "import sys, numpy\n"
+    "rng = lambda: sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+    "bare = rng()\n"
+    "from crtseq.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(bare), ' '.join(rng()), sep='\\n', file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+MIXED_USERS = [{"id": 1, "g": 1, "sessions": [[30, 2000]]},
+               {"id": 3, "g": 3, "offset": 250}, {"id": -7, "g": 2, "offset": 0}]
+RECEIVER_ARGV = {
+    "simulate": ["simulate", "--scenario", "scenario.json", "--out", "out.csv"],
+    "sync": ["sync", "--scenario", "scenario.json", "--emit", "out.csv"],
+}
+
+
+def _numpy_random_loads(tmp_path, argv, users=MIXED_USERS) -> tuple[set[str], set[str]]:
+    """(numpy.random modules after a bare numpy import, those after main(argv))
+    in a fresh interpreter working in tmp_path, where scenario.json holds a
+    2000-slot (7, 101) scenario of ``users``."""
+    (tmp_path / "scenario.json").write_text(json.dumps(
+        {"p": 7, "q": 101, "variant": "mod", "duration": 2000, "users": users}))
+    run = subprocess.run([sys.executable, "-c", RNG_CHILD, *argv], cwd=tmp_path,
+                         env=_child_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    bare, after = run.stderr.splitlines()[-2:]
+    return set(bare.split()), set(after.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [RECEIVER_ARGV["simulate"], RECEIVER_ARGV["sync"],
+     ["session", "--p", "5", "--k", "5", "--users", "1,2", "--offsets", "0,9"]],
+    ids=lambda argv: argv[0],
+)
+def test_receiver_on_given_offsets_loads_no_numpy_random(tmp_path, argv):
+    # a Generator is built only where its draws reach an output
+    bare, after = _numpy_random_loads(tmp_path, argv)
+    assert after <= bare, sorted(after - bare)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [RECEIVER_ARGV["simulate"], RECEIVER_ARGV["sync"],
+     ["session", "--p", "5", "--k", "5", "--users", "1,2"],
+     ["sweep", "--p", "5", "--k-range", "2:3", "--m", "2", "--trials", "10",
+      "--out", "out.csv"]],
+    ids=["simulate-unspecified-offset", "sync-unspecified-offset",
+         "session-sampled-offsets", "sweep"],
+)
+def test_commands_that_draw_still_load_numpy_random(tmp_path, argv):
+    drawn = MIXED_USERS + [{"id": 4, "g": 4}]  # an offset drawn from the seed
+    _, after = _numpy_random_loads(tmp_path, argv, drawn)
+    assert "numpy.random" in after
 
 
 @pytest.mark.parametrize(

@@ -294,6 +294,31 @@ class TestSessionRoundtrip:
         assert report.all_recovered
         assert report.erasure_counts == {2: 0}
 
+    @pytest.mark.parametrize("p, k, order", [(5, 5, 32), (13, 13, 256)])
+    def test_default_payloads_repeat_per_seed_and_lie_in_the_field(self, p, k, order):
+        gens, offsets = (1, 2), (0, 9)
+        reports = [session_roundtrip(p, k, gens, offsets, seed=seed) for seed in (7, 7, 8)]
+        assert all(report.all_recovered for report in reports)
+        drawn = [report.recovered for report in reports]  # the payloads, decoded
+        assert all(np.array_equal(drawn[0][g], drawn[1][g]) for g in gens)
+        assert not np.array_equal(drawn[0][1], drawn[2][1])
+        symbols = np.concatenate([run[g] for run in drawn for g in gens])
+        assert symbols.min() >= 0 and symbols.max() < order
+        assert symbols.max() >= order // 2  # the top bit of the field is drawn
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            session_roundtrip(5, 5, (1, 2), (0, 9), seed=-1)
+
+    def test_code_is_memoised_with_read_only_tables(self):
+        spec = CodeSpec.for_protocol(5, 5)
+        code = erasure._code(spec)
+        assert erasure._code(CodeSpec.for_protocol(5, 5)) is code
+        for table in (code._parity_logs, code.field._exp, code.field._log):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+        assert ErasureCode(spec) is not code  # the class itself builds afresh
+
     def test_explicit_payloads_round_trip(self):
         payloads = {1: np.arange(14) % 32, 4: (np.arange(14) * 3) % 32}
         report = session_roundtrip(5, 5, (1, 4), (0, 99), payloads=payloads)
