@@ -331,8 +331,10 @@ class _SuccessCounter:
     tau holds slot t when its schedule has a one at t + w, w = (-tau) mod
     L, so its row is the L bits of the repeated schedule from bit w on.
     The per-user table holds that repeated schedule packed at each of the
-    64 bit shifts, one row of R = floor((L-1)/64) + W words per shift; the
-    W words of delay tau start at word (w & 63)*R + (w >> 6).  A slot
+    8 bit shifts, one row of R = floor((L-1)/8) + 8W bytes per shift
+    (about 2L bytes in all); the W words of delay tau are the W
+    little-endian uint64 words read from byte (w & 7)*R + (w >> 3), through
+    one read-only view with a stride of one byte between windows.  A slot
     succeeds when exactly one user's bit is set in it; the bits past L in
     the last word repeat the schedule and are masked off before counting.
     """
@@ -343,31 +345,39 @@ class _SuccessCounter:
         L = params.L
         self.params = params
         self.words = -(-L // 64)
-        self._row = (L - 1) // 64 + self.words
+        self._row = (L - 1) // 8 + 8 * self.words
         self._tail = np.uint64((1 << (L - 64 * (self.words - 1))) - 1)  # the last word's slots
         self._windows = []
         for g in generators:  # generate_sequence rejects a generator outside 0..p-1
-            bits = np.resize(generate_sequence(g, params).bits, 64 * self._row + 63)
-            shifted = np.lib.stride_tricks.sliding_window_view(bits, 64 * self._row)[:64]
-            table = np.packbits(shifted, axis=1, bitorder="little").view("<u8").ravel()
-            # read-only view: window i is the W words starting at word i
-            self._windows.append(np.lib.stride_tricks.sliding_window_view(table, self.words))
+            bits = np.resize(generate_sequence(g, params).bits, 8 * self._row + 7)
+            shifted = np.lib.stride_tricks.sliding_window_view(bits, 8 * self._row)[:8]
+            table = np.packbits(shifted, axis=1, bitorder="little").ravel()
+            # window i is the W words starting at byte i: the last, at byte
+            # 8R - 8W, ends at the table's end
+            windows = np.ndarray((table.size - 8 * self.words + 1, self.words), dtype="<u8",
+                                 buffer=table, strides=(1, 8))
+            windows.flags.writeable = False
+            self._windows.append(windows)
 
     def __call__(self, offsets: np.ndarray) -> np.ndarray:
         """Slots with exactly one transmitter; offsets has shape (n, M),
         row i assigning a delay in 0..L-1 to each of the M users."""
         L = self.params.L
         starts = np.array(offsets, dtype=np.int64)  # a copy, worked on in place
+        if starts.ndim != 2 or starts.shape[1] != len(self._windows):
+            raise ValueError(
+                f"offsets must have shape (n, {len(self._windows)}), got {starts.shape}"
+            )
         bad = starts[(starts < 0) | (starts >= L)]
         if bad.size:
             raise ValueError(f"offset {bad[0]} outside 0..{L - 1}")
         np.subtract(L, starts, out=starts)
         starts[starts == L] = 0  # w = (-tau) mod L: L - tau, and 0 at tau = 0
-        word = starts >> 6
-        starts &= 63
+        byte = starts >> 3
+        starts &= 7
         starts *= self._row
-        starts += word  # in place: word (w & 63)*R + (w >> 6)
-        del word  # free the word indices before the batches
+        starts += byte  # in place: byte (w & 7)*R + (w >> 3)
+        del byte  # free the byte indices before the batches
         batch = max(1, self._BATCH_WORDS // self.words)
         out = np.empty(starts.shape[0], dtype=np.int64)
         for lo in range(0, starts.shape[0], batch):
@@ -384,11 +394,21 @@ class _SuccessCounter:
         return out
 
 
+# offset rows drawn and counted at a time by monte_carlo_throughput: well
+# above the counter's batch, as drawing per batch re-maps and faults in the
+# batch's arrays afresh each time
+_DRAW_ROWS = 4096
+
+
 def monte_carlo_throughput(
     p: int, k: int, m_users: int, trials: int, seed: int
 ) -> ThroughputReport:
     """Sample delay offsets i.i.d. uniform over Z_L and measure one-period
-    system throughput of generators 1..m_users (all p when m_users = p)."""
+    system throughput of generators 1..m_users (all p when m_users = p).
+
+    The offsets are drawn from one Generator in chunks of _DRAW_ROWS rows,
+    which yields the same values as one draw of all rows; only each
+    trial's success count is kept."""
     params = construction_params(p, k)
     if m_users < 1:
         raise ValueError(f"need at least one user, got m_users={m_users}")
@@ -397,9 +417,12 @@ def monte_carlo_throughput(
     if m_users > p:
         raise ValueError("more users than available sequences")
     generators = tuple(range(1, m_users + 1)) if m_users < p else tuple(range(p))
+    count = _SuccessCounter(params, generators)
     rng = np.random.default_rng(seed)
-    offsets = rng.integers(0, params.L, size=(trials, len(generators)))
-    succ = _SuccessCounter(params, generators)(offsets)
+    succ = np.empty(trials, dtype=np.int64)
+    for lo in range(0, trials, _DRAW_ROWS):
+        rows = min(_DRAW_ROWS, trials - lo)
+        succ[lo : lo + rows] = count(rng.integers(0, params.L, size=(rows, len(generators))))
     thr = succ / params.L
     return ThroughputReport(trials, float(thr.min()), float(thr.mean()), float(thr.max()))
 

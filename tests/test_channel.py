@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from crtseq.core import BinarySequence, CrtParams, Variant, generate_sequence
 from crtseq.channel import (
     BLOCK_SLOTS,
+    _DRAW_ROWS,
     _SuccessCounter,
     ActivitySignal,
     Scenario,
@@ -553,6 +554,42 @@ class TestSuccessCounter:
         count = _SuccessCounter(construction_params(5, 2), (1, 2))  # L = 45
         with pytest.raises(ValueError, match=f"offset {bad} outside 0..44"):
             count(np.array([[0, 3], [bad, 7]]))
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [[[0, 3, 7], [1, 2, 40]], [[0], [1]], [0, 3], [[[0, 3]]]],
+        ids=["extra-column", "short-row", "one-dimensional", "three-dimensional"],
+    )
+    def test_rejects_offsets_of_another_shape(self, offsets):
+        count = _SuccessCounter(construction_params(5, 2), (1, 2))
+        with pytest.raises(ValueError, match=re.escape("offsets must have shape (n, 2)")):
+            count(np.array(offsets))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_byte_windows_at_every_delay(self, variant):
+        params = CrtParams(3, 67, variant)  # L = 201 = 3*64 + 9: four words
+        L = params.L
+        tau = np.arange(L)
+        offsets = np.concatenate([np.stack([np.full(L, first), tau], axis=1)
+                                  for first in (0, L - 1)])
+        count = _SuccessCounter(params, (1, 2))
+        assert np.array_equal(count(offsets), oracle_success_counts(offsets, (1, 2), params))
+        for windows in count._windows:
+            with pytest.raises(ValueError, match="read-only"):
+                windows[0, 0] = 0
+
+    @pytest.mark.parametrize("m_users", [1, 2, 19])  # odd M: a chunk draws an odd word count
+    @pytest.mark.parametrize(
+        "trials", [_DRAW_ROWS - 1, _DRAW_ROWS, _DRAW_ROWS + 1, 2 * _DRAW_ROWS + 1]
+    )
+    def test_chunked_draws_keep_the_stream(self, trials, m_users):
+        params = construction_params(37, 2)  # L = 2701
+        gens = tuple(range(1, m_users + 1))
+        offsets = np.random.default_rng(23).integers(0, params.L, size=(trials, m_users))
+        thr = _SuccessCounter(params, gens)(offsets) / params.L
+        assert monte_carlo_throughput(37, 2, m_users, trials, seed=23) == ThroughputReport(
+            trials, float(thr.min()), float(thr.mean()), float(thr.max())
+        )
 
     def test_multi_word_reports_are_pinned(self):
         # recorded from the column kernel this one replaced, which stored one

@@ -1002,6 +1002,23 @@ def test_peak_memory_does_not_grow_with_duration(tmp_path, command):
     assert peaks[1] - peaks[0] < 8, f"peak {peaks[0]:.1f} MiB at 100k slots, {peaks[1]:.1f} at 5M"
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_sweep_peak_memory_does_not_grow_with_trials(tmp_path):
+    # offsets are drawn and counted in chunks of rows and only a count is
+    # kept per trial, so 200k trials peak within a few MiB of 10k; with the
+    # offsets held whole, 200k trials took about 87 MiB more
+    peaks = []
+    for trials in (10_000, 200_000):
+        run = subprocess.run([sys.executable, "-c", PEAK_CHILD, "sweep", "--p", "37",
+                              "--k-range", "6:6", "--m", "19", "--trials", str(trials),
+                              "--out", str(tmp_path / "sweep.csv")],
+                             env=_child_env(), capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("k,L,min,mean,max,bound\n6,8177,")
+        peaks.append(int(run.stderr.split()[-1]) / 1024)
+    assert peaks[1] - peaks[0] < 8, f"peak {peaks[0]:.1f} MiB at 10k trials, {peaks[1]:.1f} at 200k"
+
+
 # runs main on its argv in a fresh interpreter and prints two lines: the
 # numpy.random modules that a bare `import numpy` loaded, then those loaded
 # after the command
