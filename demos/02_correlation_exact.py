@@ -2,8 +2,9 @@
 
 The pairwise Hamming cross-correlation of two schedules concentrates on
 three consecutive values, and the whole distribution over shifts is known
-in closed form.  Here the closed forms are printed next to brute-force
-counts; they agree exactly, not approximately.
+in closed form, at q > p and at q < p alike (the last two rows, where the
+values are 0, 1 and, for some generators, 2).  Here the closed forms are
+printed next to brute-force counts; they agree exactly, not approximately.
 """
 
 from crtseq import CrtParams, generate_sequence
@@ -14,7 +15,7 @@ from crtseq.correlation import (
     predicted_distribution,
 )
 
-for p, q in ((3, 5), (5, 7), (7, 11), (11, 23)):
+for p, q in ((3, 5), (5, 7), (7, 11), (11, 23), (5, 3), (7, 5)):
     params = CrtParams(p, q)
     ref = generate_sequence(1, params)
     print(f"\np={p} q={q}  (quotient {q // p}, remainder {q % p})")

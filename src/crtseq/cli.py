@@ -72,24 +72,15 @@ def _cmd_correlate(args) -> int:
     a = generate_sequence(args.g, params)
     b = generate_sequence(args.h, params)
     spec = correlation.correlation_spectrum(a, b)
-    # a predictor outside its hypotheses (q < p) gives a null prediction; the
-    # range runs first, as it is the one that rejects g == h
-    try:
-        window = list(correlation.predicted_cross_range(args.g, args.h, params))
-    except correlation.UnsupportedParameters:
-        window = None
-    try:
-        predicted = correlation.predicted_distribution(
-            correlation.reduced_generator(args.g, args.h, params.p), params
-        )
-    except correlation.UnsupportedParameters:
-        predicted = None
+    # the range runs first, as it is the one that rejects g == h
+    window = list(correlation.predicted_cross_range(args.g, args.h, params))
+    predicted = correlation.predicted_distribution(
+        correlation.reduced_generator(args.g, args.h, params.p), params
+    )
     payload = {
         "range_predicted": window,
         "histogram_bruteforce": {str(j): n for j, n in spec.histogram.items()},
-        "histogram_predicted": None
-        if predicted is None
-        else {str(j): n for j, n in predicted.items()},
+        "histogram_predicted": {str(j): n for j, n in predicted.items()},
         "epsilon": _frac(spec.epsilon),
     }
     text = json.dumps(payload, indent=2)

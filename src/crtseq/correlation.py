@@ -9,7 +9,7 @@ One exact-integer kernel counts every spectrum, a single pair's or a batch
 of pairs', in chunks of at most 2^16 differences, so its scratch does not
 grow with L or the family; epsilon-uniformity is an exact rational, never
 a float, read off those counts, or off the predicted distributions for the
-CRT family at q > p.
+CRT family at any coprime q.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BinarySequence, CrtParams, crt_map, generate_sequence
+from .core import BinarySequence, CrtParams, crt_map
 
 __all__ = [
     "CorrelationSpectrum",
     "CrossParams",
-    "UnsupportedParameters",
     "correlation_spectrum",
     "cross_params",
     "predicted_cross_range",
@@ -40,10 +39,6 @@ __all__ = [
 # Differences (and counters) per bincount of the one spectrum kernel; bounds
 # its scratch memory independently of L and of the family size.
 _CHUNK = 1 << 16
-
-
-class UnsupportedParameters(ValueError):
-    """Raised when a closed-form predictor is asked outside its hypotheses."""
 
 
 @dataclass(frozen=True)
@@ -130,12 +125,14 @@ def reduced_generator(g: int, h: int, p: int) -> int:
 
 
 def predicted_cross_range(g: int, h: int, params: CrtParams) -> tuple[int, int]:
-    """Inclusive envelope of achievable cross-correlation values for the
-    pair of generators (g, h).
+    """(min, max) of the cross-correlation of the pair of generators (g, h)
+    over all shifts: the extreme levels of the predicted distribution of
+    the reduced pair, at any coprime q.
 
-    Pairs involving generator 0 take values in {floor(q/p), floor(q/p)+1}
-    for any coprime q.  All other pairs require q > p and occupy one of
-    the two three-value windows selected by the window residue.
+    Pairs involving generator 0 take values {floor(q/p), floor(q/p)+1};
+    all other pairs occupy one of the two three-value windows selected by
+    the window residue, where below p the lower window {-1, 0, 1} has no
+    shift at -1.
     """
     p = params.p
     for name, val in (("g", g), ("h", h)):
@@ -143,28 +140,40 @@ def predicted_cross_range(g: int, h: int, params: CrtParams) -> tuple[int, int]:
             raise ValueError(f"{name}={val} outside 0..{p - 1}")
     if g == h:
         raise ValueError("generators must differ (use predicted_autocorrelation)")
-    m = params.q // p
-    reduced = reduced_generator(g, h, p)
-    if reduced == 0:
-        return (m, m + 1)
-    if params.q <= p:
-        raise UnsupportedParameters("three-value window requires q > p")
-    cp = cross_params(reduced, params)
-    if cp.window_residue < p - cp.remainder:
-        return (m - 1, m + 1)
-    return (m, m + 2)
+    levels = predicted_distribution(reduced_generator(g, h, p), params)
+    return (min(levels), max(levels))
 
 
 def predicted_distribution(g: int, params: CrtParams) -> dict[int, int]:
     """Exact histogram of the cross-correlation of generator g against the
     reference generator 1, over all p*q shifts.
 
-    Requires q > p.  The histogram always sums to p*q and its first moment
-    is q^2.  Zero-count levels are omitted.
+    Holds at every coprime q.  The histogram always sums to p*q and its
+    first moment is q^2.  Zero-count levels are omitted.
+
+    Below p the formulas reduce to m = 0, r = q, and the m - 1 level's
+    count m*(...) vanishes.  That they are exact there follows from a
+    direct count.  Both residue maps are linear, so a time shift is a
+    translation (a, b) of Z_p (+) Z_q, and generator g's support is
+    {(g*c mod p, c) : 0 <= c < q} in either variant.  Translate the
+    support of generator 1 by (a, b), 0 <= b < q.  Generator g meets it in
+    column c iff g*c - a = c' (mod p), where c' = c - b for c >= b and
+    c' = c - b + q for c < b.  For g not in {0, 1} each case is one
+    congruence in c, and since q < p every column index is its own
+    residue mod p, so the overlap is
+
+        [b <= c0 < q] + [(c0 + w) mod p < b],
+
+    with c0 = (g-1)^-1 * (a - b) mod p and w = (g-1)^-1 * q mod p, the
+    window residue.  As a runs over Z_p, so does c0.  Level 2 needs
+    p - w <= c0 < q, and then b takes exactly the p - w values
+    c0 + w - p < b <= c0; so level 2 occurs (p - w)(q + w - p) times when
+    w > p - q, and never otherwise.  The mass p*q and the first moment q^2
+    then fix levels 0 and 1, as the two branches below give.  For g = 0
+    the overlap is [(-a mod p) < q]: q^2 shifts at level 1 and the other
+    (p - q)*q at level 0.
     """
     p, q = params.p, params.q
-    if q <= p:
-        raise UnsupportedParameters("distribution formulas require q > p")
     cp = cross_params(g, params)  # also rejects g == 1
     m, r = cp.quotient, cp.remainder
     if g == 0:
@@ -284,14 +293,9 @@ def crt_epsilon(params: CrtParams) -> Fraction:
     to translates, so a pair (g, h) has the spectrum of (g*h^-1, 1) up to a
     permutation of the shifts (reduced_generator), and swapping a pair
     reverses its spectrum.  The p - 1 representatives (r, 1), r in
-    {0, 2, ..., p-1}, therefore attain every pair's extremes.  For q > p
-    they are read off the levels of predicted_distribution; below, where
-    its formulas do not apply, the spectrum kernel counts them.
+    {0, 2, ..., p-1}, therefore attain every pair's extremes, which are
+    read off the levels of predicted_distribution at any coprime q: no
+    spectrum is counted.
     """
-    reps = [0, *range(2, params.p)]
-    if params.q > params.p:
-        levels = [j for r in reps for j in predicted_distribution(r, params)]
-        return _deviation(min(levels), max(levels), params.q**2, params.L)
-    a = np.stack([generate_sequence(r, params).support() for r in reps])
-    b = generate_sequence(1, params).support()
-    return _epsilon(a, np.broadcast_to(b, (len(reps), b.size)), params.L)
+    levels = [j for r in [0, *range(2, params.p)] for j in predicted_distribution(r, params)]
+    return _deviation(min(levels), max(levels), params.q**2, params.L)

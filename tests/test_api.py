@@ -14,8 +14,8 @@ PUBLIC = {
         "generate_sequence", "sequence_to_array", "format_sequence_entry", "is_prime",
     ],
     "crtseq.correlation": [
-        "CorrelationSpectrum", "CrossParams", "UnsupportedParameters", "correlation_spectrum",
-        "cross_params", "predicted_cross_range", "reduced_generator", "predicted_distribution",
+        "CorrelationSpectrum", "CrossParams", "correlation_spectrum", "cross_params",
+        "predicted_cross_range", "reduced_generator", "predicted_distribution",
         "predicted_autocorrelation", "epsilon_uniformity", "crt_epsilon",
     ],
     "crtseq.channel": [

@@ -138,15 +138,20 @@ class TestCorrelate:
         assert payload["range_predicted"] == [1, 2]
         assert payload["histogram_bruteforce"] == {"1": 5, "2": 10}
 
-    def test_q_below_p_has_no_window(self, capsys):
-        # q < p: the three-value window and the distribution are undefined
+    def test_q_below_p_is_predicted(self, capsys):
+        # q < p: the closed forms hold there too, so both predictions are filled
         assert main(["correlate", "--p", "5", "--q", "3", "--g", "2", "--h", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["range_predicted"] is None
-        assert payload["histogram_predicted"] is None
         params = CrtParams(5, 3)
         spec = correlation_spectrum(generate_sequence(2, params), generate_sequence(3, params))
         assert payload["histogram_bruteforce"] == {str(j): n for j, n in spec.histogram.items()}
+        assert payload["histogram_predicted"] == payload["histogram_bruteforce"]
+        assert payload["range_predicted"] == [int(spec.values.min()), int(spec.values.max())]
+        assert main(["correlate", "--p", "7", "--q", "5", "--g", "3", "--h", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["range_predicted"] == [0, 2]
+        assert payload["histogram_predicted"] == {"0": 14, "1": 17, "2": 4}
+        assert payload["histogram_predicted"] == payload["histogram_bruteforce"]
 
 
 class TestSimulate:

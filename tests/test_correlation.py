@@ -26,7 +26,6 @@ from crtseq.core import (
     sequence_to_array,
 )
 from crtseq.correlation import (
-    UnsupportedParameters,
     correlation_spectrum,
     cross_params,
     crt_epsilon,
@@ -189,20 +188,35 @@ class TestPredictedRange:
     def test_zero_pairs_allowed_for_small_q(self):
         assert predicted_cross_range(0, 1, CrtParams(5, 4)) == (0, 1)
 
-    def test_nonzero_pairs_need_large_q(self):
-        with pytest.raises(UnsupportedParameters):
-            predicted_cross_range(2, 1, CrtParams(5, 4))
+    def test_nonzero_pairs_below_p(self):
+        # q < p: levels {0, 1} when the window residue w < p - q, {0, 1, 2} above
+        assert cross_params(6, CrtParams(7, 5)).window_residue == 1
+        assert predicted_cross_range(6, 1, CrtParams(7, 5)) == (0, 1)
+        assert predicted_cross_range(3, 1, CrtParams(7, 5)) == (0, 2)
+        assert predicted_cross_range(4, 1, CrtParams(5, 3)) == (0, 1)
+        assert predicted_cross_range(3, 2, CrtParams(5, 4)) == (0, 2)
 
     def test_envelope_holds_by_brute_force(self):
-        for params in (P35, CrtParams(5, 7), CrtParams(5, 51, Variant.MODIFIED)):
+        # the range is the distribution's extremes, so it is attained exactly
+        for params in (CrtParams(5, 3), CrtParams(7, 5), CrtParams(5, 7), P35,
+                       CrtParams(5, 51, Variant.MODIFIED)):
             seqs = {g: generate_sequence(g, params) for g in range(params.p)}
             for g in range(params.p):
                 for h in range(params.p):
                     if g == h:
                         continue
-                    lo, hi = predicted_cross_range(g, h, params)
                     vals = correlation_spectrum(seqs[g], seqs[h]).values
-                    assert lo <= int(vals.min()) and int(vals.max()) <= hi
+                    assert predicted_cross_range(g, h, params) == (
+                        int(vals.min()), int(vals.max())), (params, g, h)
+
+    def test_class_extremes_on_grid(self):
+        # every class representative (r, 1) at every coprime q <= 60
+        for params in coprime_grid():
+            ref = generate_sequence(1, params)
+            for r in (0, *range(2, params.p)):
+                vals = correlation_spectrum(generate_sequence(r, params), ref).values
+                assert predicted_cross_range(r, 1, params) == (
+                    int(vals.min()), int(vals.max())), (params, r)
 
 
 class TestPredictedDistribution:
@@ -211,9 +225,27 @@ class TestPredictedDistribution:
         assert predicted_distribution(0, P35) == {1: 5, 2: 10}
         assert predicted_distribution(2, CrtParams(5, 7)) == {0: 2, 1: 17, 2: 16}
 
-    def test_rejects_small_q(self):
-        with pytest.raises(UnsupportedParameters):
-            predicted_distribution(2, CrtParams(5, 4))
+    def test_small_q_examples(self):
+        # q < p: m = 0, r = q; level 2 only when the window residue exceeds p - q
+        assert predicted_distribution(2, CrtParams(5, 4)) == {0: 7, 1: 10, 2: 3}
+        assert predicted_distribution(3, CrtParams(7, 5)) == {0: 14, 1: 17, 2: 4}
+        assert predicted_distribution(6, CrtParams(7, 5)) == {0: 10, 1: 25}
+        assert predicted_distribution(0, CrtParams(7, 5)) == {0: 10, 1: 25}
+
+    def test_matches_brute_force_below_p(self):
+        # all 532 cases: every prime p <= 13, every coprime q < p, both
+        # variants, g in {0, 2..p-1} (the class epsilon is checked on
+        # coprime_grid, which holds these q)
+        cases = 0
+        for params in coprime_grid():
+            if params.q > params.p:
+                continue
+            ref = generate_sequence(1, params)
+            for g in (0, *range(2, params.p)):
+                brute = correlation_spectrum(generate_sequence(g, params), ref).histogram
+                assert predicted_distribution(g, params) == brute, (params, g)
+                cases += 1
+        assert cases == 532
 
     def test_rejects_reference_generator(self):
         with pytest.raises(ValueError):
@@ -503,17 +535,17 @@ class TestCrtEpsilon:
             family = [generate_sequence(g, params) for g in range(params.p)]
             assert crt_epsilon(params) == epsilon_uniformity(family), params
 
-    @pytest.mark.parametrize("k, kernel_calls", [(6, 0), (1, 1)])
-    def test_counts_only_below_q_equals_p(self, k, kernel_calls):
-        # q = 6p - 1 > p: epsilon is read off predicted_distribution; q = p - 1
-        # is outside its hypothesis, so the kernel counts the p - 1 pairs
+    @pytest.mark.parametrize("k", [6, 1])
+    def test_counts_no_spectrum(self, k):
+        # q = 6p - 1 > p and q = p - 1 < p: epsilon is read off
+        # predicted_distribution either way, with no spectrum counted
         params = construction_params(37, k)
         family = [generate_sequence(g, params) for g in range(params.p)]
         expect = epsilon_uniformity(family)
         with mock.patch.object(correlation, "_count_spectra",
                                side_effect=correlation._count_spectra) as kernel:
             assert crt_epsilon(params) == expect
-        assert kernel.call_count == kernel_calls
+        assert kernel.call_count == 0
 
     def test_small_instance(self):
         assert crt_epsilon(P35) == Fraction(4, 5)
