@@ -7,7 +7,7 @@ one user's start is misdated.
 """
 
 from crtseq import CrtParams, Variant
-from crtseq.channel import Scenario, UserSpec, channel_activity, simulate
+from crtseq.channel import Scenario, UserSpec, activity_text, channel_activity, simulate
 from crtseq.sync import judge, run_detector
 
 # guaranteed: p=5, q=51 > 2p^2, three users with session starts 100/40/388
@@ -32,7 +32,7 @@ crowd = tuple(
 scenario = Scenario(small, crowd, 58)
 signal = channel_activity(simulate(scenario))
 events = run_detector(signal, small)
-print("\nactivity:", signal)
+print("\nactivity:", activity_text(signal))
 print(judge(scenario, events))
 for event in events:
     print(" ", event)

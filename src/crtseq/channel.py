@@ -24,14 +24,14 @@ from typing import Iterator
 import numpy as np
 
 from .core import CrtParams, Variant, generate_sequence
-from .correlation import correlation_spectrum
+from .correlation import predicted_cross_range
 
 __all__ = [
     "IDLE",
     "SUCCESS",
     "COLLISION",
-    "ActivitySignal",
     "check_codes",
+    "activity_text",
     "UserSpec",
     "Scenario",
     "TraceBlock",
@@ -67,30 +67,12 @@ def check_codes(codes: np.ndarray) -> None:
         raise ValueError("activity codes must be 0, 1 or 2")
 
 
-class ActivitySignal:
-    """Per-slot channel reduction: 0 idle, 1 lone sender, * collision."""
-
-    def __init__(self, codes: np.ndarray):
-        codes = np.asarray(codes)
-        if codes.ndim != 1:
-            raise ValueError(f"activity codes must be a 1-D array, got shape {codes.shape}")
-        check_codes(codes)  # before the cast, which would wrap 256 to 0 and cut 1.5 to 1
-        self.codes = codes.astype(np.int8)  # a copy, so freezing it leaves the caller's array be
-        self.codes.flags.writeable = False
-
-    def __len__(self) -> int:
-        return int(self.codes.size)
-
-    def __getitem__(self, t: int) -> int:
-        return int(self.codes[t])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ActivitySignal):
-            return NotImplemented
-        return len(self) == len(other) and bool(np.all(self.codes == other.codes))
-
-    def __str__(self) -> str:
-        return _SYMBOL_BYTES[self.codes].tobytes().decode()
+def activity_text(codes: np.ndarray) -> str:
+    """The activity codes as text: 0 idle, 1 lone sender, * collision."""
+    codes = np.asarray(codes)
+    check_codes(codes)  # a code of -1 would index to *
+    # int8 before indexing: a bool array would select, not index
+    return _SYMBOL_BYTES[codes.astype(np.int8, copy=False)].tobytes().decode()
 
 
 @dataclass(frozen=True)
@@ -263,9 +245,9 @@ def simulate(scenario: Scenario) -> TraceBlock:
     return next(simulate_blocks(scenario, scenario.duration))
 
 
-def channel_activity(block: TraceBlock) -> ActivitySignal:
-    """The activity codes of a block's slots."""
-    return ActivitySignal(np.minimum(block.n_senders, 2, dtype=np.int8))
+def channel_activity(block: TraceBlock) -> np.ndarray:
+    """The activity codes of a block's slots, as a 1-D int8 array."""
+    return np.minimum(block.n_senders, 2, dtype=np.int8)
 
 
 # --- worst-case bounds for the q = k*p - 1 family ---
@@ -431,19 +413,17 @@ def exhaustive_pair_throughput(p: int, k: int, generators: tuple[int, int]) -> T
     """One-period throughput over all L^2 offset pairs of two users.
 
     Shift invariance: the pair (tau_a, tau_b) loses 2*C_ab(tau_b - tau_a)
-    slots, C_ab the correlation spectrum, and each relative shift occurs
-    for L of the L^2 pairs.  The mean is the exact rational rounded once.
+    of its 2q sends, C_ab the cross-correlation, and each relative shift
+    occurs for L of the L^2 pairs.  So the extremes come from the range of
+    C_ab (``predicted_cross_range``) and the mean from its first moment
+    q^2: 2q(L - q)/L^2 = 2(p-1)/p^2, the exact rational rounded once.
+    Equal generators raise ValueError.
     """
     params = construction_params(p, k)
-    a, b = (generate_sequence(g, params) for g in generators)
-    spec = correlation_spectrum(a, b)
-    L = params.L
-    succ = spec.weight_a + spec.weight_b - 2 * spec.values
+    lo, hi = predicted_cross_range(*generators, params)
+    q, L = params.q, params.L
     return ThroughputReport(
-        L * L,
-        int(succ.min()) / L,
-        float(Fraction(L * int(succ.sum()), L**3)),
-        int(succ.max()) / L,
+        L * L, (2 * q - 2 * hi) / L, float(Fraction(2 * (p - 1), p * p)), (2 * q - 2 * lo) / L
     )
 
 

@@ -209,7 +209,7 @@ def _cmd_simulate(args) -> int:
     )
     if args.activity:  # a second pass, as the signal follows the summary line
         for block in channel.simulate_blocks(sc, channel.BLOCK_SLOTS):
-            sys.stdout.write(str(channel.channel_activity(block)))
+            sys.stdout.write(channel.activity_text(channel.channel_activity(block)))
         print()
     return 0
 

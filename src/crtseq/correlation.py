@@ -56,19 +56,11 @@ class CorrelationSpectrum:
         return {int(v): int(c) for v, c in zip(levels, counts)}
 
     @property
-    def length(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def mean(self) -> Fraction:
-        """Shift-averaged correlation, exactly weight_a*weight_b / L."""
-        return Fraction(self.weight_a * self.weight_b, self.length)
-
-    @property
     def epsilon(self) -> Fraction:
-        """Largest relative deviation of the spectrum from its mean."""
+        """Largest relative deviation of the spectrum from its mean,
+        exactly weight_a*weight_b / L."""
         return _deviation(int(self.values.min()), int(self.values.max()),
-                          self.weight_a * self.weight_b, self.length)
+                          self.weight_a * self.weight_b, self.values.size)
 
 
 def correlation_spectrum(a: BinarySequence, b: BinarySequence) -> CorrelationSpectrum:

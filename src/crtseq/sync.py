@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import IDLE, ActivitySignal, Scenario, check_codes
+from .channel import IDLE, Scenario, check_codes
 from .core import (
     CrtParams,
     GridPoint,
@@ -69,7 +69,7 @@ def _as_int(flags: np.ndarray) -> int:
 class ActivityDetector:
     """Blind detector for generators 1..p-1, fed activity symbols in chunks.
 
-    ``push`` takes one symbol, a 1-D array of symbols, or an ActivitySignal.
+    ``push`` takes one symbol or a 1-D array of activity codes.
     A start slot t0 is decided once its window [t0, t0+L) is complete, so the
     detector keeps only the idle flags of the at most L-1 slots from the
     oldest undecided start onward, plus each active user's next start to
@@ -151,15 +151,16 @@ class ActivityDetector:
                          default=math.inf)
 
     def push(self, symbols) -> list[Activated | Deactivated]:
-        """Consume symbols; return the events they decide, ordered by
-        (start, user).
+        """Consume one symbol (an int) or a 1-D array of codes 0, 1, 2, such
+        as ``channel_activity`` returns; return the events they decide,
+        ordered by (start, user).  Any other array-like goes through
+        ``np.asarray`` and ``check_codes``: a 0-d array or numpy scalar is a
+        one-symbol array, and a code outside {0, 1, 2} raises ValueError.
 
         An idle user that matches at t0 is activated with start t0; an
         active user is re-examined at each whole period after its start and
         deactivated at the first one that fails to match.
         """
-        if not isinstance(symbols, int) and isinstance(symbols, (np.integer, np.bool_)):
-            symbols = int(symbols)  # a numpy integer or bool takes the one-symbol path too
         if isinstance(symbols, int) and 0 <= symbols <= 2:
             if symbols == IDLE:
                 self._idle_slots |= 1 << self._held
@@ -168,13 +169,10 @@ class ActivityDetector:
             if self._held < self._L:
                 return []
             return self._decide_one()
-        if isinstance(symbols, ActivitySignal):
-            codes = symbols.codes  # validated on construction
-        else:
-            codes = np.asarray(symbols)
-            if codes.ndim > 1:
-                raise ValueError(f"push takes a symbol or a 1-D array, got shape {codes.shape}")
-            check_codes(codes)
+        codes = np.asarray(symbols)
+        if codes.ndim > 1:
+            raise ValueError(f"push takes a symbol or a 1-D array, got shape {codes.shape}")
+        check_codes(codes)
         m = codes.size
         if m < 2 * self.params.q:  # see _matched
             return [ev for c in codes.ravel().tolist() for ev in self.push(c)]

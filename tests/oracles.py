@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from crtseq.channel import COLLISION, IDLE, SUCCESS, ActivitySignal, Scenario, TraceBlock
+from crtseq.channel import COLLISION, IDLE, SUCCESS, Scenario, TraceBlock
 from crtseq.core import BinarySequence, CrtParams, GridPoint, Variant, crt_inverse, crt_map
 from crtseq.correlation import CrossParams
 from crtseq.erasure import GF
@@ -166,8 +166,9 @@ _CODE_OF_BYTE = np.full(256, -1, dtype=np.int8)  # inverse table; -1 marks a bad
 _CODE_OF_BYTE[np.frombuffer(b"01*", dtype=np.uint8)] = (IDLE, SUCCESS, COLLISION)
 
 
-def activity_from_string(text: str) -> ActivitySignal:
-    """Inverse of ``str(ActivitySignal)``: 0 idle, 1 lone sender, * collision."""
+def activity_from_string(text: str) -> np.ndarray:
+    """Inverse of ``activity_text``: the int8 codes of 0 idle, 1 lone
+    sender, * collision."""
     text = text.strip()
     # a non-ASCII character encodes to bytes >= 0x80, one that cannot be
     # encoded to "?"; both are bad bytes
@@ -175,7 +176,7 @@ def activity_from_string(text: str) -> ActivitySignal:
     if codes.size and codes.min() < 0:
         at = next(i for i, ch in enumerate(text) if ch not in "01*")
         raise ValueError(f"activity character {text[at]!r} at position {at} is not 0, 1 or *")
-    return ActivitySignal(codes)
+    return codes
 
 
 def user_counts(trace: TraceBlock) -> tuple[dict[int, int], dict[int, int]]:

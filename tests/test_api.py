@@ -19,7 +19,7 @@ PUBLIC = {
         "predicted_autocorrelation", "epsilon_uniformity", "crt_epsilon",
     ],
     "crtseq.channel": [
-        "IDLE", "SUCCESS", "COLLISION", "ActivitySignal", "check_codes", "UserSpec",
+        "IDLE", "SUCCESS", "COLLISION", "check_codes", "activity_text", "UserSpec",
         "Scenario", "TraceBlock", "ThroughputReport", "BLOCK_SLOTS",
         "simulate_blocks", "simulate", "channel_activity",
         "construction_params", "throughput_lower_bound", "optimal_user_count",

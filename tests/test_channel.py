@@ -14,10 +14,10 @@ from crtseq.channel import (
     BLOCK_SLOTS,
     _DRAW_ROWS,
     _SuccessCounter,
-    ActivitySignal,
     Scenario,
     ThroughputReport,
     UserSpec,
+    activity_text,
     channel_activity,
     construction_params,
     exhaustive_pair_throughput,
@@ -165,19 +165,17 @@ SPLITS["BLOCK_SLOTS"] = (st.just(LONG_SESSIONS), lambda sc: BLOCK_SLOTS)
 class TestActivitySignal:
     def test_string_round_trip(self):
         sig = activity_from_string("01*10")
-        assert str(sig) == "01*10"
-        assert [sig[i] for i in range(5)] == [0, 1, 2, 1, 0]
+        assert sig.dtype == np.int8
+        assert activity_text(sig) == "01*10"
+        assert sig.tolist() == [0, 1, 2, 1, 0]
+        assert activity_text(np.array([True, False])) == activity_text([1, 0]) == "10"
+        assert activity_text([]) == activity_text(activity_from_string("")) == ""
 
     def test_rejects_bad_codes(self):
-        with pytest.raises(ValueError):
-            ActivitySignal(np.array([0, 3]))
-        # checked before the cast to int8, which would wrap or truncate
-        for codes in (np.array([256, 1]), np.array([0.5, 1.7]), [1.9]):
+        # -1 would index to *, 3 past the table
+        for codes in ([0, 3], np.array([-1, 1], dtype=np.int8), [1.0]):
             with pytest.raises(ValueError, match="activity codes must be 0, 1 or 2"):
-                ActivitySignal(codes)
-        with pytest.raises(ValueError, match="1-D"):
-            ActivitySignal(np.ones((2, 3), dtype=np.int8))
-        assert ActivitySignal(np.array([True, False])) == ActivitySignal([1, 0])
+                activity_text(codes)
         with pytest.raises(ValueError, match="'x' at position 2"):
             activity_from_string("01x*")
         # positions count characters of the stripped text, not encoded bytes
@@ -188,18 +186,11 @@ class TestActivitySignal:
         with pytest.raises(ValueError, match=re.escape("'\\udc80' at position 2")):
             activity_from_string("01\udc80")  # a lone surrogate has no encoding
 
-    def test_leaves_callers_array_writable(self):
-        codes = np.array([0, 1, 2], dtype=np.int8)
-        sig = ActivitySignal(codes)
-        codes[0] = 1  # the signal holds its own frozen copy
-        assert str(sig) == "01*"
-        assert not sig.codes.flags.writeable
-
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 100_000))
     def test_long_string_round_trip(self, seed, length):
         text = "".join(np.random.default_rng(seed).choice(list("01*"), size=length))
-        assert str(activity_from_string(text)) == text
+        assert activity_text(activity_from_string(text)) == text
 
 
 class TestScenarioValidation:
@@ -261,11 +252,13 @@ class TestSimulate:
 
     def test_single_user_signal_mirrors_sequence(self):
         sc = perm_scenario(P35, [(7, 1, 0)], 15)
-        assert str(channel_activity(simulate(sc))) == "111110000000000"
+        signal = channel_activity(simulate(sc))
+        assert signal.dtype == np.int8 and signal.ndim == 1
+        assert activity_text(signal) == "111110000000000"
 
     def test_empty_scenario_is_all_idle(self):
         trace = simulate(Scenario(P35, (), 15))
-        assert str(channel_activity(trace)) == "0" * 15
+        assert activity_text(channel_activity(trace)) == "0" * 15
         assert successes(trace) == 0
 
     def test_two_users_lose_exactly_the_overlap(self):
@@ -450,6 +443,10 @@ class TestThroughputExperiments:
         assert rep.trials == 45 * 45
         assert rep.minimum == pytest.approx(12 / 45)
         assert rep.minimum >= float(peak_throughput_bound(5, 2))
+
+    def test_exhaustive_pair_rejects_equal_generators(self):
+        with pytest.raises(ValueError, match="generators must differ"):
+            exhaustive_pair_throughput(5, 2, (2, 2))
 
     @pytest.mark.parametrize(
         "m_users, trials, named",

@@ -17,7 +17,6 @@ from crtseq.core import (
 )
 from crtseq.channel import (
     IDLE,
-    ActivitySignal,
     Scenario,
     UserSpec,
     channel_activity,
@@ -62,13 +61,13 @@ def lone_signal(params, g, offset, duration):
 
 def push_each(detector, signal):
     """Events of pushing the signal one symbol (a Python int) at a time."""
-    return [ev for c in signal.codes for ev in detector.push(int(c))]
+    return [ev for c in signal.tolist() for ev in detector.push(c)]
 
 
 def is_matched(signal, seq: BinarySequence, t0: int) -> bool:
     """The matching rule read off its definition: every one of the sequence
     sees a non-idle symbol in the window [t0, t0 + L)."""
-    codes = signal.codes if isinstance(signal, ActivitySignal) else np.asarray(signal)
+    codes = np.asarray(signal)
     L = len(seq)
     if t0 < 0 or t0 + L > codes.size:
         raise ValueError(f"window [{t0}, {t0 + L}) not covered by the signal")
@@ -232,7 +231,7 @@ class TestDetector:
         assert det.time == codes.size
         expected = reference_events(codes, params)
         assert chunked == expected
-        assert run_detector(ActivitySignal(codes), params) == expected
+        assert run_detector(codes, params) == expected
 
     @given(st.sampled_from([(3, 19), (5, 51), (7, 101)]), st.integers(0, 40), st.integers(0, 7),
            st.sampled_from([0, 1 / 256, 1 / 64, 1 / 16, 1 / 2]), st.integers(0, 2**32 - 1))
@@ -273,7 +272,7 @@ class TestDetector:
         events, t = [], 0
         for i, n in enumerate(lengths):
             if i % 2 == 0:
-                events += push_each(det, ActivitySignal(codes[t : t + n]))
+                events += push_each(det, codes[t : t + n])
             else:
                 events += det.push(codes[t : t + n])
             t += n
@@ -351,7 +350,7 @@ class TestDetector:
         codes = np.concatenate([np.ones(2 * L, dtype=np.int8), np.zeros(L + 3, dtype=np.int8),
                                 np.full(L + 20, 2, dtype=np.int8)])
         det = ActivityDetector(M551)
-        events = push_each(det, ActivitySignal(codes))
+        events = push_each(det, codes)
         assert events == reference_events(codes, M551)
         assert [type(ev) for ev in events] == [Activated] * 4 + [Deactivated] * 4 + [Activated] * 4
 
@@ -362,7 +361,7 @@ class TestDetector:
         users = (UserSpec(2, 2, None, ((10, 10 + L),)), UserSpec(4, 4, 100))
         sig = channel_activity(simulate(Scenario(M551, users, 10 + 3 * L)))
         det = ActivityDetector(M551)
-        events = [ev for c in sig.codes.tolist() for ev in det.push(one(c))]
+        events = [ev for c in sig.tolist() for ev in det.push(one(c))]
         assert events == run_detector(sig, M551)
         assert Deactivated(2, 10 + L) in events
 
@@ -382,18 +381,18 @@ class TestDetector:
         assert expected == [Activated(2, 10), Activated(4, 100), Deactivated(2, 10 + L)]
         monkeypatch.setattr(ActivityDetector, "_matched", self.no_kernel)
         det = ActivityDetector(M551)
-        assert [ev for c in sig.codes.tolist() for ev in det.push(one(c))] == expected
+        assert [ev for c in sig.tolist() for ev in det.push(one(c))] == expected
 
     def test_short_pushes_take_the_one_symbol_path(self, monkeypatch):
-        # arrays of 1 and 2q-1 symbols, a 0-d array and a short ActivitySignal
+        # arrays of 1 and 2q-1 symbols, a 0-d array and a list of 7 symbols
         # in turn, ten times over, on two sessions and a permanent user
         L, q = M551.L, M551.q
         users = (UserSpec(2, 2, None, ((10, 10 + L), (10 + 2 * L, 10 + 3 * L))),
                  UserSpec(4, 4, 100))
         forms = [(1, np.asarray), (2 * q - 1, np.asarray), (1, lambda c: np.array(c[0])),
-                 (7, ActivitySignal)]
+                 (7, np.ndarray.tolist)]
         duration = 10 * sum(size for size, _ in forms)
-        codes = channel_activity(simulate(Scenario(M551, users, duration))).codes
+        codes = channel_activity(simulate(Scenario(M551, users, duration)))
         expected = run_detector(codes, M551)
         assert expected == [Activated(2, 10), Activated(4, 100), Deactivated(2, 10 + L),
                             Activated(2, 10 + 2 * L), Deactivated(2, 10 + 3 * L)]
@@ -424,9 +423,12 @@ class TestDetector:
     @pytest.mark.parametrize(
         "symbols",
         [7, -1, 3, np.int8(3), np.array(-1), np.full(15, 7), np.array([0, 1, 3]),
-         np.array([9.5, 3.2]), np.array([0.0, 1.0]), 1.0, "1"],
+         np.array([9.5, 3.2]), np.array([0.0, 1.0]), 1.0, "1",
+         # checked as given: a cast to int8 would wrap 256 to 0 and cut 1.9 to 1
+         np.array([256, 1]), [1.9], np.array([0.5, 1.7])],
         ids=["7", "-1", "3", "int8-3", "0d-minus-1", "array-of-7", "array-with-3",
-             "float-array", "integral-float-array", "float", "str"],
+             "float-array", "integral-float-array", "float", "str",
+             "array-with-256", "float-list", "fractional-array"],
     )
     def test_push_rejects_symbols_outside_alphabet(self, symbols):
         det = ActivityDetector(CrtParams(3, 5, Variant.MODIFIED))
@@ -441,8 +443,23 @@ class TestDetector:
         assert det.time == 0
 
     def test_push_rejects_multidimensional_input(self):
-        with pytest.raises(ValueError):
-            ActivityDetector(M78).push(np.ones((2, M78.L), dtype=np.int8))
+        # (2, 3) is short enough for the one-symbol path, were it flattened
+        det = ActivityDetector(M78)
+        for codes in (np.ones((2, M78.L), dtype=np.int8), np.ones((2, 3), dtype=np.int8)):
+            with pytest.raises(ValueError, match="1-D"):
+                det.push(codes)
+        assert det.time == 0
+
+    def test_bool_array_is_codes_0_and_1(self):
+        params = CrtParams(3, 5, Variant.MODIFIED)
+        codes = np.array([1] * 15 + [0, 1] * 10, dtype=np.int8)
+        expected = run_detector(codes, params)
+        assert expected[0] == Activated(1, 0)
+        flags = codes.astype(bool)
+        for size in (7, codes.size):  # 7 < 2q symbols take the one-symbol path
+            det = ActivityDetector(params)
+            chunks = [flags[t : t + size] for t in range(0, codes.size, size)]
+            assert [ev for chunk in chunks for ev in det.push(chunk)] == expected
 
     def test_exact_recovery_at_guarantee_boundary(self):
         # q = 2p^2 + 1 is the smallest period in the general regime; run it
@@ -496,7 +513,7 @@ class TestDetector:
         codes = self.noisy_signal(kind, 20_000)
         expected = run_detector(codes, params)
         assert len(expected) > 20
-        assert push_each(ActivityDetector(params), ActivitySignal(codes)) == expected
+        assert push_each(ActivityDetector(params), codes) == expected
         for size in (129, 2 * params.q - 1, 2 * params.q, 2 * params.q + 1, 4096):
             det = ActivityDetector(params)
             chunks = np.split(codes, range(size, codes.size, size))
