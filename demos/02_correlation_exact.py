@@ -10,9 +10,9 @@ printed next to brute-force counts; they agree exactly, not approximately.
 from crtseq import CrtParams, generate_sequence
 from crtseq.correlation import (
     correlation_spectrum,
-    cross_params,
     predicted_cross_range,
     predicted_distribution,
+    window_residue,
 )
 
 for p, q in ((3, 5), (5, 7), (7, 11), (11, 23), (5, 3), (7, 5)):
@@ -24,10 +24,9 @@ for p, q in ((3, 5), (5, 7), (7, 11), (11, 23), (5, 3), (7, 5)):
             continue
         brute = correlation_spectrum(generate_sequence(g, params), ref).histogram
         predicted = predicted_distribution(g, params)
-        cp = cross_params(g, params)
         lo, hi = predicted_cross_range(g, 1, params)
         tag = "exact match" if brute == predicted else "MISMATCH"
         print(
-            f"  g={g}: window residue {cp.window_residue}, range [{lo},{hi}], "
+            f"  g={g}: window residue {window_residue(g, params)}, range [{lo},{hi}], "
             f"distribution {predicted}  <- {tag}"
         )

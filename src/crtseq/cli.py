@@ -186,8 +186,7 @@ def _trace_csv_block(block: channel.TraceBlock, names: np.ndarray, lo: int, hi: 
     # transmissions; a row's last sender ends it with a newline
     last_of_row = np.diff(row, append=n.size) != 0
     records[row + np.arange(rank.size) + 1] = names.take(2 * rank + last_of_row)
-    flat = records.view(np.uint8)
-    return flat[flat != 0].tobytes()
+    return records.tobytes().translate(None, b"\0")
 
 
 def _cmd_simulate(args) -> int:

@@ -85,7 +85,6 @@ class CrtParams:
     q: int
     variant: Variant = Variant.STANDARD
     gamma: int | None = field(init=False, compare=False)
-    _col_scale: int = field(init=False, repr=False, compare=False)
     _units: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -98,7 +97,6 @@ class CrtParams:
         modified = self.variant is Variant.MODIFIED
         scale = pow(self.p, -1, self.q) if modified else 1
         object.__setattr__(self, "gamma", scale if modified else None)
-        object.__setattr__(self, "_col_scale", scale)
         # slots of the grid points (1, 0) and (0, 1); the inverse map is linear
         object.__setattr__(
             self,
@@ -123,7 +121,8 @@ def crt_map(x: int | np.ndarray, params: CrtParams) -> GridPoint:
     bad = xs[(xs < 0) | (xs >= params.L)]
     if bad.size:
         raise ValueError(f"index {bad[0]} outside 0..{params.L - 1}")
-    return GridPoint(x % params.p, (params._col_scale * x) % params.q)
+    # gamma = p^-1 mod q >= 1 in the modified variant, None in the standard one
+    return GridPoint(x % params.p, ((params.gamma or 1) * x) % params.q)
 
 
 def crt_inverse(pt: GridPoint, params: CrtParams) -> int | np.ndarray:

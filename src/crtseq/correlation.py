@@ -2,9 +2,10 @@
 
 Brute force is the ground truth throughout: a spectrum is the overlap of a
 support with the cyclic translate of another, counted directly for every
-shift tau.  The closed forms (three-value windows, full shift
-distributions, the autocorrelation formula) are predictions that the test
-suite checks against the brute-force values with zero tolerance.
+shift tau.  The closed forms (three-value windows, picked by one number
+per generator, ``window_residue``; full shift distributions; the
+autocorrelation formula) are predictions that the test suite checks
+against the brute-force values with zero tolerance.
 One exact-integer kernel counts every spectrum, a single pair's or a batch
 of pairs', in chunks of at most 2^16 differences, so its scratch does not
 grow with L or the family; epsilon-uniformity is an exact rational, never
@@ -25,9 +26,8 @@ from .core import BinarySequence, CrtParams, crt_map
 
 __all__ = [
     "CorrelationSpectrum",
-    "CrossParams",
     "correlation_spectrum",
-    "cross_params",
+    "window_residue",
     "predicted_cross_range",
     "reduced_generator",
     "predicted_distribution",
@@ -46,8 +46,6 @@ class CorrelationSpectrum:
     """All L overlap counts of a sequence pair, plus their histogram."""
 
     values: np.ndarray
-    weight_a: int
-    weight_b: int
 
     @cached_property
     def histogram(self) -> dict[int, int]:
@@ -58,9 +56,10 @@ class CorrelationSpectrum:
     @property
     def epsilon(self) -> Fraction:
         """Largest relative deviation of the spectrum from its mean,
-        exactly weight_a*weight_b / L."""
+        exactly w_a*w_b / L: every pair of ones meets at exactly one shift,
+        so the counts sum to the weight product."""
         return _deviation(int(self.values.min()), int(self.values.max()),
-                          self.weight_a * self.weight_b, self.values.size)
+                          int(self.values.sum()), self.values.size)
 
 
 def correlation_spectrum(a: BinarySequence, b: BinarySequence) -> CorrelationSpectrum:
@@ -73,39 +72,20 @@ def correlation_spectrum(a: BinarySequence, b: BinarySequence) -> CorrelationSpe
     """
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    sa, sb = a.support(), b.support()
-    values = _count_spectra(sa[None], sb[None], len(a))[0]
-    return CorrelationSpectrum(values, int(sa.size), int(sb.size))
+    values = _count_spectra(a.support()[None], b.support()[None], len(a))[0]
+    return CorrelationSpectrum(values)
 
 
-@dataclass(frozen=True)
-class CrossParams:
-    """Residue data that determines the cross-correlation window of a
-    generator against the reference generator 1.
-
-    quotient/remainder are q divided by p.  window_residue is
-    (g-1)^{-1} * remainder mod p; whether it falls below or above
-    p - remainder decides which band of three consecutive values the
-    cross-correlation occupies.
-    """
-
-    p: int
-    generator: int
-    quotient: int
-    remainder: int
-    window_residue: int
-
-
-def cross_params(g: int, params: CrtParams) -> CrossParams:
-    if not 0 <= g < params.p:
-        raise ValueError(f"generator {g} outside 0..{params.p - 1}")
+def window_residue(g: int, params: CrtParams) -> int:
+    """(g-1)^-1 * (q mod p) mod p for generator g against the reference
+    generator 1: whether it falls below or above p - (q mod p) decides which
+    band of three consecutive values the cross-correlation occupies."""
+    p = params.p
+    if not 0 <= g < p:
+        raise ValueError(f"generator {g} outside 0..{p - 1}")
     if g == 1:
         raise ValueError("generator 1 is the reference; its window parameters are undefined")
-    p, q = params.p, params.q
-    residue = (pow(g - 1, -1, p) * (q % p)) % p
-    return CrossParams(
-        p=p, generator=g, quotient=q // p, remainder=q % p, window_residue=residue
-    )
+    return (pow(g - 1, -1, p) * (params.q % p)) % p
 
 
 def reduced_generator(g: int, h: int, p: int) -> int:
@@ -166,15 +146,15 @@ def predicted_distribution(g: int, params: CrtParams) -> dict[int, int]:
     (p - q)*q at level 0.
     """
     p, q = params.p, params.q
-    cp = cross_params(g, params)  # also rejects g == 1
-    m, r = cp.quotient, cp.remainder
+    m, r = divmod(q, p)
+    w = window_residue(g, params)
     if g == 0:
         hist = {m: (p - r) * q, m + 1: r * q}
-    elif cp.window_residue < p - r:
-        low = m * cp.window_residue * (p - cp.window_residue - r)
+    elif w < p - r:
+        low = m * w * (p - w - r)
         hist = {m - 1: low, m: q * (p - r) - 2 * low, m + 1: q * r + low}
     else:
-        high = (m + 1) * (p - cp.window_residue) * (r + cp.window_residue - p)
+        high = (m + 1) * (p - w) * (r + w - p)
         hist = {m: q * (p - r) + high, m + 1: q * r - 2 * high, m + 2: high}
     return {j: n for j, n in hist.items() if n != 0}
 

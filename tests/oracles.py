@@ -15,7 +15,7 @@ import numpy as np
 
 from crtseq.channel import COLLISION, IDLE, SUCCESS, Scenario, TraceBlock
 from crtseq.core import BinarySequence, CrtParams, GridPoint, Variant, crt_inverse, crt_map
-from crtseq.correlation import CrossParams
+from crtseq.correlation import window_residue
 from crtseq.erasure import GF
 
 # --- sequences as grid points ---
@@ -138,25 +138,25 @@ def count_congruent(c: int, d: int, b: int, p: int) -> int:
     return (d - first - 1) // p + 1
 
 
-def shift_residue(cp: CrossParams, row_shift: int, col_shift: int) -> int:
+def shift_residue(g: int, params: CrtParams, row_shift: int, col_shift: int) -> int:
     """(g-1)^{-1} * (row_shift - col_shift mod p) reduced mod p, for a
     column shift already reduced into 0..q-1: the per-shift companion of
-    cp.window_residue."""
-    inv = pow(cp.generator - 1, -1, cp.p)
-    return (inv * (row_shift - col_shift % cp.p)) % cp.p
+    window_residue."""
+    p = params.p
+    return (pow(g - 1, -1, p) * (row_shift - col_shift % p)) % p
 
 
-def solution_count(cp: CrossParams, row_shift: int, col_shift: int, q: int) -> int:
-    """Overlap of generator cp.generator with the reference sequence at a
-    2-D shift, computed by congruence counting alone: ones collide at column
-    x exactly when x = shift_residue (mod p), plus window_residue for the
-    columns that wrapped (x < col_shift).  Defined for generators outside
-    {0, 1}."""
+def solution_count(g: int, params: CrtParams, row_shift: int, col_shift: int) -> int:
+    """Overlap of generator g with the reference sequence at a 2-D shift,
+    computed by congruence counting alone: ones collide at column x exactly
+    when x = shift_residue (mod p), plus window_residue for the columns that
+    wrapped (x < col_shift).  Defined for generators outside {0, 1}."""
+    p, q = params.p, params.q
     col_shift %= q
-    base = shift_residue(cp, row_shift, col_shift)
-    wrapped = (base + cp.window_residue) % cp.p
-    return count_congruent(0, col_shift, wrapped, cp.p) + count_congruent(
-        col_shift, q - col_shift, base, cp.p
+    base = shift_residue(g, params, row_shift, col_shift)
+    wrapped = (base + window_residue(g, params)) % p
+    return count_congruent(0, col_shift, wrapped, p) + count_congruent(
+        col_shift, q - col_shift, base, p
     )
 
 

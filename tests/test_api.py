@@ -14,7 +14,7 @@ PUBLIC = {
         "generate_sequence", "sequence_to_array", "format_sequence_entry", "is_prime",
     ],
     "crtseq.correlation": [
-        "CorrelationSpectrum", "CrossParams", "correlation_spectrum", "cross_params",
+        "CorrelationSpectrum", "correlation_spectrum", "window_residue",
         "predicted_cross_range", "reduced_generator", "predicted_distribution",
         "predicted_autocorrelation", "epsilon_uniformity", "crt_epsilon",
     ],

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crtseq import correlation
@@ -27,12 +27,12 @@ from crtseq.core import (
 )
 from crtseq.correlation import (
     correlation_spectrum,
-    cross_params,
     crt_epsilon,
     epsilon_uniformity,
     predicted_autocorrelation,
     predicted_cross_range,
     predicted_distribution,
+    window_residue,
 )
 from oracles import (
     brute_spectrum,
@@ -139,17 +139,25 @@ class TestSpectrum:
         assert int(spec.values.sum()) == a.weight * b.weight
 
 
-class TestCrossParams:
+@st.composite
+def coprime_params(draw):
+    """CrtParams(p, q) for a prime p <= 31 and a coprime q <= 200."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    return CrtParams(p, draw(st.integers(2, 200).filter(lambda q: q % p)))
+
+
+class TestWindowResidue:
     def test_examples(self):
-        cp = cross_params(2, P35)
-        assert (cp.quotient, cp.remainder, cp.window_residue) == (1, 2, 2)
-        assert cross_params(0, P35).window_residue == 1
-        cp = cross_params(2, CrtParams(5, 7))
-        assert (cp.quotient, cp.remainder, cp.window_residue) == (1, 2, 2)
+        assert window_residue(2, P35) == 2
+        assert window_residue(0, P35) == 1
+        assert window_residue(2, CrtParams(5, 7)) == 2
 
     def test_reference_generator_rejected(self):
-        with pytest.raises(ValueError):
-            cross_params(1, P35)
+        with pytest.raises(ValueError, match="reference"):
+            window_residue(1, P35)
+        for g in (-1, 3):
+            with pytest.raises(ValueError, match="outside"):
+                window_residue(g, P35)
 
     def test_congruence_counting_reproduces_overlaps(self):
         # the whole case analysis in one identity: the 2-D overlap with the
@@ -158,21 +166,25 @@ class TestCrossParams:
         for params in (CrtParams(5, 7), CrtParams(5, 8), CrtParams(7, 11)):
             a1 = sequence_to_array(generate_sequence(1, params), params)
             for g in range(2, params.p):
-                cp = cross_params(g, params)
                 ag = sequence_to_array(generate_sequence(g, params), params)
                 for t1 in range(params.p):
                     for t2 in range(params.q):
-                        assert solution_count(cp, t1, t2, params.q) == two_d_correlation(
+                        assert solution_count(g, params, t1, t2) == two_d_correlation(
                             ag, a1, (t1, t2)
                         )
 
-    def test_window_residue_avoids_degenerate_values(self):
+    @given(params=coprime_params())
+    @example(params=P35)
+    @example(params=CrtParams(5, 7))
+    @example(params=CrtParams(7, 10))
+    @example(params=CrtParams(11, 60))
+    @settings(max_examples=50, deadline=None)
+    def test_window_residue_avoids_degenerate_values(self, params):
         # for g outside {0, 1} the residue is neither 0 nor p - (q mod p)
-        for params in (P35, CrtParams(5, 7), CrtParams(7, 10), CrtParams(11, 60)):
-            for g in range(2, params.p):
-                wr = cross_params(g, params).window_residue
-                assert wr != 0
-                assert wr != params.p - params.q % params.p
+        for g in range(2, params.p):
+            wr = window_residue(g, params)
+            assert wr != 0
+            assert wr != params.p - params.q % params.p
 
 
 class TestPredictedRange:
@@ -190,7 +202,7 @@ class TestPredictedRange:
 
     def test_nonzero_pairs_below_p(self):
         # q < p: levels {0, 1} when the window residue w < p - q, {0, 1, 2} above
-        assert cross_params(6, CrtParams(7, 5)).window_residue == 1
+        assert window_residue(6, CrtParams(7, 5)) == 1
         assert predicted_cross_range(6, 1, CrtParams(7, 5)) == (0, 1)
         assert predicted_cross_range(3, 1, CrtParams(7, 5)) == (0, 2)
         assert predicted_cross_range(4, 1, CrtParams(5, 3)) == (0, 1)
