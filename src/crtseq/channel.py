@@ -190,50 +190,49 @@ class TraceBlock:
     ids: np.ndarray
 
 
-def _transmission_slots(
-    support: np.ndarray, L: int, start: np.ndarray, end: np.ndarray, lo: int, hi: int
+def _transmission_keys(
+    schedules: np.ndarray, L: int, spans: np.ndarray, bits: int, lo: int, hi: int
 ) -> np.ndarray:
-    """Slots in [lo, hi) where a user with this support transmits, in packet
-    order: each span [start[i], end[i]) runs the schedule from its start,
-    cut at its end.  The spans are sorted and disjoint, so the ones that
-    meet the block are one slice; only their periods that meet it expand,
-    in one step, one row of q slots per period."""
-    first, last = np.searchsorted(end, lo, side="right"), np.searchsorted(start, hi)
-    start, end = start[first:last], np.minimum(end[first:last], hi)
-    skip = np.maximum((lo - start) // L, 0)  # whole periods before the block
-    periods = -((start - end) // L) - skip  # ceil((end - start) / L) - skip >= 1
-    span = np.repeat(np.arange(start.size), periods)  # the span of each period row
-    period = skip[span] + np.arange(span.size) - (np.cumsum(periods) - periods)[span]
-    slots = (start[span] + L * period)[:, None] + support
-    return slots[(slots >= lo) & (slots < end[span, None])]
+    """Every transmission in [lo, hi) as the key (slot << bits) | rank,
+    unsorted.  Row ``rank`` of ``schedules`` holds those keys for the
+    schedule run from slot 0; span row (start, end, rank) runs it from its
+    start, cut at its end.  One mask picks the spans that meet the block;
+    only their periods that meet it expand, in one step, one row of q keys
+    per period."""
+    start, end, rank = spans[(spans[:, 1] > lo) & (spans[:, 0] < hi)].T
+    end = np.minimum(end, hi)
+    first = start + np.maximum(lo - start, 0) // L * L  # the first period that meets the block
+    periods = -((first - end) // L)  # ceil((end - first) / L) >= 1
+    span = np.repeat(np.arange(first.size), periods)  # the span of each period row
+    period = np.arange(span.size) - (np.cumsum(periods) - periods)[span]
+    keys = ((first[span] + L * period) << bits)[:, None] + schedules[rank[span]]
+    # rank < 1 << bits: a key's slot is in [lo, end) iff it is in [lo << bits, end << bits)
+    return keys[(keys >= lo << bits) & (keys < (end << bits)[span, None])]
 
 
 def simulate_blocks(scenario: Scenario, block: int) -> Iterator[TraceBlock]:
     """Run the collision rule over the scenario in blocks of ``block``
     slots: one TraceBlock per [lo, hi), in order, so memory follows the
-    block size, not the duration.  Deterministic given the scenario (the
-    seed only feeds unspecified offsets)."""
+    block size, not the duration.  Every user's spans sit in one table, and
+    each block expands the ones that meet it in one step.  Deterministic
+    given the scenario (the seed only feeds unspecified offsets)."""
     if block < 1:
         raise ValueError(f"block must be a positive number of slots, got {block}")
     params, duration, spans = scenario.params, scenario.duration, scenario.spans()
     users = sorted((u.user_id, u.generator) for u in scenario.users)
     ids = np.array([uid for uid, _ in users], dtype=np.int64)
     ids.flags.writeable = False  # one table shared by every block
-    schedules = [
-        (generate_sequence(g, params).support(),
-         np.array([a for a, _ in spans[uid]], dtype=np.int64),
-         np.array([b for _, b in spans[uid]], dtype=np.int64))
-        for uid, g in users
-    ]
+    table = np.array([(a, b, rank) for rank, (uid, _) in enumerate(users) for a, b in spans[uid]],
+                     dtype=np.int64).reshape(-1, 3)
     # each transmission is the key (slot << bits) | rank of its sender's id,
-    # so one sort orders a block's transmissions by slot, then id
+    # so one sort orders a block's transmissions by slot, then id; every CRT
+    # sequence has weight q, so the schedules' keys stack into one (M, q) table
     bits = max(len(users) - 1, 0).bit_length()
+    schedules = np.array([generate_sequence(g, params).support() << bits | rank
+                          for rank, (_, g) in enumerate(users)], dtype=np.int64)
     for lo in range(0, duration, block):
         hi = min(lo + block, duration)
-        key = np.concatenate([np.empty(0, dtype=np.int64)] + [
-            _transmission_slots(support, params.L, start, end, lo, hi) << bits | rank
-            for rank, (support, start, end) in enumerate(schedules)
-        ])
+        key = _transmission_keys(schedules, params.L, table, bits, lo, hi)
         key.sort()
         rank = key & ((1 << bits) - 1)
         slot = np.right_shift(key, bits, out=key)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -360,6 +361,23 @@ class TestSimulateBlocks:
         assert huge.lo == 0
         for field in ("n_senders", "transmission_slot", "transmission_rank", "ids"):
             assert np.array_equal(getattr(huge, field), getattr(small, field))
+
+    def test_streamed_run_holds_one_block(self):
+        # three permanent users of (5, 51) streamed in blocks of BLOCK_SLOTS:
+        # ten times the duration, about the same traced peak
+        params = CrtParams(5, 51, Variant.MODIFIED)
+        users = ((1, 0, 17), (2, 1, 100), (3, 3, 254))
+        peaks = []
+        for blocks in (3, 30):
+            sc = perm_scenario(params, users, blocks * BLOCK_SLOTS + 123)
+            tracemalloc.start()
+            try:
+                for b in simulate_blocks(sc, BLOCK_SLOTS):
+                    assert b.transmission_slot.size > 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_session_that_straddles_blocks(self):
         # one session of 3 periods and a bit, cut into blocks of 4 slots:

@@ -304,22 +304,22 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
         # the same when the run itself fails in its third block of 5 slots:
-        # its five users expand their spans once per block
+        # all five users' spans expand in one call per block
         monkeypatch.setattr(cli, "_trace_csv_block", block)
         monkeypatch.setattr(channel, "BLOCK_SLOTS", 5)
-        expand, calls = channel._transmission_slots, []
+        expand, calls = channel._transmission_keys, []
 
         def fail_in_third_block(*args):
             calls.append(args[-2])  # the block's first slot
-            if len(calls) == 11:
+            if len(calls) == 3:
                 raise MemoryError("no room for run block 3")
             return expand(*args)
 
-        monkeypatch.setattr(channel, "_transmission_slots", fail_in_third_block)
+        monkeypatch.setattr(channel, "_transmission_keys", fail_in_third_block)
         assert main(["simulate", "--scenario", str(failure_scenario), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: no room for run block 3\n")
-        assert calls == [0] * 5 + [5] * 5 + [10]
+        assert calls == [0, 5, 10]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
     def test_trace_csv_blocks_join_seamlessly(self, tmp_path, capsys, failure_scenario,
