@@ -1,49 +1,99 @@
 """Reference sequence families for uniformity comparisons.
 
 Two classic low-correlation families serve as baselines: prime sequences
-(period p^2, weight p, pairwise correlation at most 2) and their extended
-variant obtained by padding p-1 zeros after every one (period p*(2p-1),
-weight p, pairwise correlation at most 1).  Both families are 1-uniform,
-which is the yardstick the residue-pair construction improves on.
+(period p^2, weight p) and their extended variant obtained by padding p-1
+zeros after every one (period p*(2p-1), weight p).  Both are families of p
+sequences of p blocks of width W, W = p or 2p - 1: sequence i has its ones
+at j*W + (i*j mod p), j = 0..p-1, so every block holds one one, in one of
+its first p columns.  Their cross-correlation levels follow from a direct
+count, with no spectrum counted.
+
+Take a pair i != i' and a shift tau = a*W + b, 0 <= b < W, of sequence i'.
+Its one in block j', at column y = i'*j' mod p, moves to column y + b of
+block j' + a when y + b < W, and to column y + b - W of block j' + a + 1
+when y + b >= W.  In the first case it meets sequence i's one only if
+y + b < p (i's ones lie in the first p columns) and
+(i - i')*j' = b - i*a (mod p); in the second, only if
+(i - i')*j' = b - W - i*(a + 1) (mod p).  Each congruence has one solution
+j' since i != i', so each case adds at most one overlap.
+
+- Prime (W = p): the levels are 0..2, and both extremes occur for p >= 3.
+  The pair (2, 1) overlaps twice at tau = 1: sequence 1's one at p + 1
+  moves to column 2 of block 1, and its one at p^2 - 1 wraps to column 0
+  of block 0, where sequence 2 has its ones.  Every pair's spectrum sums
+  to the weight product p^2 over p^2 shifts, a mean of exactly 1, so the
+  shift at 2 forces one at 0.
+- Extended (W = 2p - 1): the levels are 0..1, because the first case needs
+  b < p and the second b >= W - y >= p, so no shift has both.  Shift 0
+  overlaps once (both ones of block 0 sit at column 0), and the mean
+  p / (2p - 1) < 1 forces a 0.
+
+p = 2 is the exception: the one prime pair (1, 0) overlaps once at every
+shift, so brute force gives epsilon 0 there, and ``cross_levels`` rejects
+p < 3.  At p >= 3 both families are 1-uniform, the yardstick that the
+residue-pair construction improves on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from .core import BinarySequence, is_prime
+from .correlation import _deviation
 
 __all__ = ["BaselineFamily", "prime_sequences", "extended_prime_sequences"]
 
 
 @dataclass(frozen=True)
 class BaselineFamily:
+    """p sequences of p blocks of the given width (see the module docstring);
+    the sequences are built on first access."""
+
     kind: str  # "prime" or "extended-prime"
-    sequences: tuple[BinarySequence, ...]
+    p: int
+    width: int
+
+    def __post_init__(self) -> None:
+        if not is_prime(self.p):
+            raise ValueError("p must be prime")
+        if self.width not in (self.p, 2 * self.p - 1):  # the widths the levels cover
+            raise ValueError(f"width must be p or 2p - 1, got {self.width}")
 
     @property
     def period(self) -> int:
-        return len(self.sequences[0])
+        return self.p * self.width
 
+    @cached_property
+    def sequences(self) -> tuple[BinarySequence, ...]:
+        p, width = self.p, self.width
+        return tuple(
+            BinarySequence.from_support([j * width + (i * j) % p for j in range(p)], self.period)
+            for i in range(p)
+        )
 
-def _block_family(kind: str, p: int, width: int) -> BaselineFamily:
-    """p sequences of p blocks of the given width; sequence i has its ones
-    at j*width + (i*j mod p) for j = 0..p-1."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    seqs = tuple(
-        BinarySequence.from_support([j * width + (i * j) % p for j in range(p)], p * width)
-        for i in range(p)
-    )
-    return BaselineFamily(kind, seqs)
+    @property
+    def cross_levels(self) -> tuple[int, int]:
+        """(min, max) overlap of distinct sequences over all pairs and shifts,
+        as derived in the module docstring: (0, 2) for prime sequences and
+        (0, 1) for extended ones."""
+        if self.p < 3:
+            raise ValueError(f"cross levels are derived for p >= 3, got p={self.p}")
+        return (0, 2 if self.width == self.p else 1)
+
+    @property
+    def epsilon(self) -> Fraction:
+        """epsilon_uniformity of the family, read off ``cross_levels``."""
+        return _deviation(*self.cross_levels, self.p**2, self.period)
 
 
 def prime_sequences(p: int) -> BaselineFamily:
     """p sequences of period p^2: blocks of width p."""
-    return _block_family("prime", p, p)
+    return BaselineFamily("prime", p, p)
 
 
 def extended_prime_sequences(p: int) -> BaselineFamily:
     """Prime sequences with p-1 zeros inserted after every one: each
     length-p block stretches to 2p-1, keeping one one per block."""
-    return _block_family("extended-prime", p, 2 * p - 1)
+    return BaselineFamily("extended-prime", p, 2 * p - 1)

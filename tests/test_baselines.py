@@ -1,13 +1,16 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from crtseq.baselines import extended_prime_sequences, prime_sequences
-from crtseq.core import CrtParams, generate_sequence
+from crtseq import correlation
+from crtseq.baselines import BaselineFamily, extended_prime_sequences, prime_sequences
+from crtseq.core import CrtParams, generate_sequence, is_prime
 from crtseq.correlation import correlation_spectrum, epsilon_uniformity
 
 PRIMES = (3, 5, 7, 11, 13)
+BUILDERS = (prime_sequences, extended_prime_sequences)
 
 
 def max_cross(family):
@@ -73,3 +76,48 @@ def test_fixed_duty_family_beats_baselines():
         assert crt_eps < 1
         assert epsilon_uniformity(list(prime_sequences(p).sequences)) == 1
         assert epsilon_uniformity(list(extended_prime_sequences(p).sequences)) == 1
+
+
+def bruteforce_levels(family):
+    """(min, max) of every unordered pair's spectrum, counted by the kernel
+    (a swapped pair's spectrum is the reverse, with the same extremes)."""
+    supports = np.stack([s.support() for s in family.sequences])
+    ia, ib = np.triu_indices(len(supports), 1)
+    counts = correlation._count_spectra(supports[ia], supports[ib], family.period)
+    return int(counts.min()), int(counts.max())
+
+
+class TestCrossLevels:
+    """The levels derived in the baselines module docstring, against brute
+    force."""
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("p", [p for p in range(3, 44) if is_prime(p)])
+    def test_levels_and_epsilon_equal_brute_force(self, build, p):
+        fam = build(p)
+        assert fam.cross_levels == bruteforce_levels(fam)
+        assert fam.epsilon == epsilon_uniformity(list(fam.sequences)) == 1
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_prime_witness_pair(self, p):
+        seqs = prime_sequences(p).sequences
+        assert correlation_spectrum(seqs[2], seqs[1]).values[1] == 2
+
+    def test_p2_is_pinned_and_rejected(self):
+        # the one prime pair (1, 0) overlaps once at every shift
+        prime, ext = prime_sequences(2), extended_prime_sequences(2)
+        assert epsilon_uniformity(list(prime.sequences)) == 0
+        assert epsilon_uniformity(list(ext.sequences)) == 1
+        for fam in (prime, ext):
+            with pytest.raises(ValueError, match="p >= 3"):
+                fam.epsilon
+
+    @pytest.mark.parametrize("width", [4, 7, 10])
+    def test_rejects_width_the_levels_do_not_cover(self, width):
+        with pytest.raises(ValueError, match="width"):
+            BaselineFamily("prime", 5, width)
+
+    def test_levels_build_no_sequences(self):
+        fam = prime_sequences(37)
+        assert fam.epsilon == 1
+        assert "sequences" not in vars(fam)
