@@ -16,7 +16,7 @@ p = 5
 rows = []
 for name, family in (("prime", prime_sequences(p)), ("extended prime", extended_prime_sequences(p))):
     eps = epsilon_uniformity(list(family.sequences))
-    assert eps == family.epsilon  # brute force equals the proven levels' epsilon
+    assert eps == family.epsilon  # all pairs' epsilon equals the witness pair's
     rows.append((name, family.period, eps))
 for k in (2, 4, 8):
     params = construction_params(p, k)

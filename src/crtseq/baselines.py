@@ -6,7 +6,7 @@ zeros after every one (period p*(2p-1), weight p).  Both are families of p
 sequences of p blocks of width W, W = p or 2p - 1: sequence i has its ones
 at j*W + (i*j mod p), j = 0..p-1, so every block holds one one, in one of
 its first p columns.  Their cross-correlation levels follow from a direct
-count, with no spectrum counted.
+count.
 
 Take a pair i != i' and a shift tau = a*W + b, 0 <= b < W, of sequence i'.
 Its one in block j', at column y = i'*j' mod p, moves to column y + b of
@@ -28,10 +28,13 @@ j' since i != i', so each case adds at most one overlap.
   overlaps once (both ones of block 0 sit at column 0), and the mean
   p / (2p - 1) < 1 forces a 0.
 
-p = 2 is the exception: the one prime pair (1, 0) overlaps once at every
-shift, so brute force gives epsilon 0 there, and ``cross_levels`` rejects
-p < 3.  At p >= 3 both families are 1-uniform, the yardstick that the
-residue-pair construction improves on.
+So the pair (2, 1) attains both extremes of either family, and since
+every pair has the weight product p^2 over the same period, its epsilon
+is the family's: ``epsilon`` counts that one pair's spectrum in place of
+all C(p, 2).  At p >= 3 both families are 1-uniform, the yardstick that
+the residue-pair construction improves on.  p = 2 has no sequence 2, and
+its one prime pair (1, 0) overlaps once at every shift, so brute force
+gives epsilon 0 there; ``witness`` rejects p < 3.
 """
 
 from __future__ import annotations
@@ -40,60 +43,62 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import correlation
 from .core import BinarySequence, is_prime
-from .correlation import _deviation
 
 __all__ = ["BaselineFamily", "prime_sequences", "extended_prime_sequences"]
 
 
 @dataclass(frozen=True)
 class BaselineFamily:
-    """p sequences of p blocks of the given width (see the module docstring);
-    the sequences are built on first access."""
+    """p sequences of p blocks of width p (prime) or 2p - 1 (extended-prime),
+    see the module docstring; the sequences are built on first access."""
 
     kind: str  # "prime" or "extended-prime"
     p: int
-    width: int
 
     def __post_init__(self) -> None:
+        if self.kind not in ("prime", "extended-prime"):
+            raise ValueError(f"unknown baseline kind {self.kind!r}")
         if not is_prime(self.p):
             raise ValueError("p must be prime")
-        if self.width not in (self.p, 2 * self.p - 1):  # the widths the levels cover
-            raise ValueError(f"width must be p or 2p - 1, got {self.width}")
+
+    @property
+    def width(self) -> int:
+        return self.p if self.kind == "prime" else 2 * self.p - 1
 
     @property
     def period(self) -> int:
         return self.p * self.width
 
+    def _sequence(self, i: int) -> BinarySequence:
+        p, width = self.p, self.width
+        return BinarySequence.from_support([j * width + (i * j) % p for j in range(p)], self.period)
+
     @cached_property
     def sequences(self) -> tuple[BinarySequence, ...]:
-        p, width = self.p, self.width
-        return tuple(
-            BinarySequence.from_support([j * width + (i * j) % p for j in range(p)], self.period)
-            for i in range(p)
-        )
+        return tuple(self._sequence(i) for i in range(self.p))
 
     @property
-    def cross_levels(self) -> tuple[int, int]:
-        """(min, max) overlap of distinct sequences over all pairs and shifts,
-        as derived in the module docstring: (0, 2) for prime sequences and
-        (0, 1) for extended ones."""
+    def witness(self) -> tuple[BinarySequence, BinarySequence]:
+        """Sequences 2 and 1, whose spectrum attains the family's extreme
+        levels (module docstring)."""
         if self.p < 3:
-            raise ValueError(f"cross levels are derived for p >= 3, got p={self.p}")
-        return (0, 2 if self.width == self.p else 1)
+            raise ValueError(f"the witness pair (2, 1) needs p >= 3, got p={self.p}")
+        return self._sequence(2), self._sequence(1)
 
     @property
     def epsilon(self) -> Fraction:
-        """epsilon_uniformity of the family, read off ``cross_levels``."""
-        return _deviation(*self.cross_levels, self.p**2, self.period)
+        """epsilon_uniformity of the family, counted on its witness pair."""
+        return correlation.epsilon_uniformity(self.witness)
 
 
 def prime_sequences(p: int) -> BaselineFamily:
     """p sequences of period p^2: blocks of width p."""
-    return BaselineFamily("prime", p, p)
+    return BaselineFamily("prime", p)
 
 
 def extended_prime_sequences(p: int) -> BaselineFamily:
     """Prime sequences with p-1 zeros inserted after every one: each
     length-p block stretches to 2p-1, keeping one one per block."""
-    return BaselineFamily("extended-prime", p, 2 * p - 1)
+    return BaselineFamily("extended-prime", p)

@@ -326,7 +326,7 @@ def _cmd_compare(args) -> int:
     params = channel.construction_params(p, k)
     rows.append(f"crt,{params.L},{_frac(correlation.crt_epsilon(params))},computed")
     for build in (baselines.prime_sequences, baselines.extended_prime_sequences):
-        family = build(p)  # epsilon read off the family's proven levels
+        family = build(p)  # epsilon counted on the one witness pair
         rows.append(f"{family.kind},{family.period},{_frac(family.epsilon)},computed")
     rows.append(f"wobbling,{p ** 4},{_frac(Fraction(1, p))},not computed")
     rows.append("shift-invariant,exponential(p),0/1,not computed")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from crtseq.core import CrtParams, generate_sequence, is_prime
 from crtseq.correlation import correlation_spectrum, epsilon_uniformity
 
 PRIMES = (3, 5, 7, 11, 13)
-BUILDERS = (prime_sequences, extended_prime_sequences)
 
 
 def max_cross(family):
@@ -78,30 +78,32 @@ def test_fixed_duty_family_beats_baselines():
         assert epsilon_uniformity(list(extended_prime_sequences(p).sequences)) == 1
 
 
-def bruteforce_levels(family):
+def bruteforce_levels(sequences):
     """(min, max) of every unordered pair's spectrum, counted by the kernel
     (a swapped pair's spectrum is the reverse, with the same extremes)."""
-    supports = np.stack([s.support() for s in family.sequences])
+    supports = np.stack([s.support() for s in sequences])
     ia, ib = np.triu_indices(len(supports), 1)
-    counts = correlation._count_spectra(supports[ia], supports[ib], family.period)
+    counts = correlation._count_spectra(supports[ia], supports[ib], len(sequences[0]))
     return int(counts.min()), int(counts.max())
 
 
-class TestCrossLevels:
-    """The levels derived in the baselines module docstring, against brute
-    force."""
+class TestWitnessPair:
+    """The levels derived in the baselines module docstring, and the pair
+    (2, 1) that attains them, against brute force."""
 
-    @pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("build, hi", [(prime_sequences, 2), (extended_prime_sequences, 1)],
+                             ids=["prime", "extended"])
     @pytest.mark.parametrize("p", [p for p in range(3, 44) if is_prime(p)])
-    def test_levels_and_epsilon_equal_brute_force(self, build, p):
+    def test_witness_attains_every_pairs_extremes(self, build, hi, p):
         fam = build(p)
-        assert fam.cross_levels == bruteforce_levels(fam)
-        assert fam.epsilon == epsilon_uniformity(list(fam.sequences)) == 1
+        assert bruteforce_levels(fam.sequences) == bruteforce_levels(fam.witness) == (0, hi)
+        assert fam.epsilon == epsilon_uniformity(list(fam.sequences))
 
     @pytest.mark.parametrize("p", PRIMES)
-    def test_prime_witness_pair(self, p):
-        seqs = prime_sequences(p).sequences
-        assert correlation_spectrum(seqs[2], seqs[1]).values[1] == 2
+    def test_prime_witness_overlaps_twice_at_one(self, p):
+        fam = prime_sequences(p)
+        assert fam.witness == (fam.sequences[2], fam.sequences[1])
+        assert correlation_spectrum(*fam.witness).values[1] == 2
 
     def test_p2_is_pinned_and_rejected(self):
         # the one prime pair (1, 0) overlaps once at every shift
@@ -112,12 +114,14 @@ class TestCrossLevels:
             with pytest.raises(ValueError, match="p >= 3"):
                 fam.epsilon
 
-    @pytest.mark.parametrize("width", [4, 7, 10])
-    def test_rejects_width_the_levels_do_not_cover(self, width):
-        with pytest.raises(ValueError, match="width"):
-            BaselineFamily("prime", 5, width)
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            BaselineFamily("gold", 5)
 
-    def test_levels_build_no_sequences(self):
+    def test_epsilon_counts_one_pair(self):
         fam = prime_sequences(37)
-        assert fam.epsilon == 1
+        with mock.patch.object(correlation, "_count_spectra",
+                               side_effect=correlation._count_spectra) as kernel:
+            assert fam.epsilon == 1
+        assert kernel.call_count == 1
         assert "sequences" not in vars(fam)

@@ -1184,13 +1184,14 @@ class TestCompare:
         assert table["shift-invariant"][3] == "not computed"
 
     def test_golden_csv(self, tmp_path, capsys):
-        # every computed row is read off proven levels: no spectrum is counted
+        # the CRT row is read off proven levels, and each baseline row counts
+        # the spectrum of its one witness pair
         out = tmp_path / "table.csv"
         with mock.patch.object(correlation, "_count_spectra",
                                side_effect=correlation._count_spectra) as kernel:
             assert main(["compare", "--p", "37", "--k", "6", "--out", str(out)]) == 0
         assert out.read_bytes() == COMPARE_GOLDEN
-        assert kernel.call_count == 0
+        assert kernel.call_count == 2
 
     @pytest.mark.parametrize("p, k", [(2, 2), (9, 2), (5, 0)], ids=["p=2", "composite", "k<1"])
     def test_rejects_bad_parameters(self, tmp_path, capsys, p, k):
