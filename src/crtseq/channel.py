@@ -274,18 +274,26 @@ def throughput_lower_bound(p: int, k: int, m_users: int) -> Fraction:
 
 
 def optimal_user_count(p: int, k: int) -> tuple[Fraction, int]:
-    """User count maximizing the worst-case bound: the exact maximizer
-    k*(p+1) / (2*(k+1)) and its floor."""
+    """The real maximizer k*(p+1) / (2*(k+1)) of the per-period bound
+    M*(q - (M-1)*(k+1)) over the user count M, and its floor.
+
+    The floor need not be the best integer count: the bound is a parabola
+    in M, so the integer nearest the maximizer is best.  At (7, 2) the
+    maximizer is 8/3, the floor 2 and the best count 3."""
     construction_params(p, k)  # rejects (p, k) outside the family
     exact = Fraction(k * (p + 1), 2 * (k + 1))
     return exact, math.floor(exact)
 
 
 def peak_throughput_bound(p: int, k: int) -> Fraction:
-    """Worst-case system throughput bound at the best integer user count.
+    """A lower bound on max over M of throughput_lower_bound(p, k, M), not
+    that maximum.
 
-    Evaluates the completed-square form of the per-period guarantee at the
-    floored optimum; flooring costs at most k + 1 successes per period.
+    The completed square k^2 (p+1)^2 / (4(k+1)) is the per-period guarantee
+    at the real maximizer; the floored count loses (k+1)*d^2 < k + 1 of it,
+    d its distance from the maximizer, so the square less k + 1 successes
+    per period lies strictly below the bound at the floored count, and so
+    below the maximum: at (37, 2) it is 1435/8103, against 13/73 at M = 13.
     """
     length = construction_params(p, k).L
     return Fraction((p + 1) ** 2, 4 * length) * Fraction(k * k, k + 1) - Fraction(k + 1, length)

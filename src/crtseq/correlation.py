@@ -6,10 +6,10 @@ shift tau.  The closed forms (three-value windows, picked by one number
 per generator, ``window_residue``; full shift distributions; the
 autocorrelation formula) are predictions that the test suite checks
 against the brute-force values with zero tolerance.
-One exact-integer kernel counts every spectrum, a single pair's or a batch
-of pairs', in chunks of at most 2^16 differences, so its scratch does not
-grow with L or the family; epsilon-uniformity is an exact rational, never
-a float, read off those counts, or off the predicted distributions for the
+One exact-integer kernel counts the spectrum of one pair at a time, in
+slices of at most 2^16 differences, so its scratch does not grow with L;
+epsilon-uniformity is an exact rational, never a float, the largest of the
+pairs' spectra's epsilons, or read off the predicted distributions for the
 CRT family at any coprime q.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +37,8 @@ __all__ = [
     "crt_epsilon",
 ]
 
-# Differences (and counters) per bincount of the one spectrum kernel; bounds
-# its scratch memory independently of L and of the family size.
+# Differences per bincount of the one spectrum kernel; bounds its scratch
+# memory independently of L.
 _CHUNK = 1 << 16
 
 
@@ -67,13 +68,11 @@ def correlation_spectrum(a: BinarySequence, b: BinarySequence) -> CorrelationSpe
 
     The overlap at shift tau is the number of pairs (x, y) in I_a x I_b
     with x - y = tau (mod L), so one pass over all support pairs yields
-    the whole spectrum.  The pair is counted by the kernel that epsilon
-    uses, in slices of at most 2^16 differences.
+    the whole spectrum, counted in slices of at most 2^16 differences.
     """
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    values = _count_spectra(a.support()[None], b.support()[None], len(a))[0]
-    return CorrelationSpectrum(values)
+    return CorrelationSpectrum(_count_spectrum(a.support(), b.support(), len(a)))
 
 
 def window_residue(g: int, params: CrtParams) -> int:
@@ -185,26 +184,19 @@ def predicted_autocorrelation(
     return values if np.ndim(values) else int(values)
 
 
-def _count_spectra(a_supports: np.ndarray, b_supports: np.ndarray, L: int) -> np.ndarray:
-    """(m, L) spectra of the row pairs of the (m, w_a) and (m, w_b) support
-    matrices: row i of each is one pair.
+def _count_spectrum(a_support: np.ndarray, b_support: np.ndarray, L: int) -> np.ndarray:
+    """The L overlap counts of the supports a_support and b_support.
 
-    One bincount over pair * L + (x - y mod L) per slice of the a-supports;
-    a slice holds at most max(_CHUNK, m * w_b) differences.
+    One bincount over x - y mod L per slice of a_support; a slice holds at
+    most max(_CHUNK, w_b) differences.
     """
-    m, w_a = a_supports.shape
-    rows = max(1, _CHUNK // max(m * b_supports.shape[1], 1))
-    b = b_supports[:, None, :]
-    base = np.arange(m).reshape(m, 1, 1) * L
-    # counts from 0, not np.zeros, so that epsilon's chunks reuse their blocks
-    # (~10x fewer page faults); one slice at least, so that w_a = 0 gives zeros
-    counts = 0
-    for j in range(0, max(w_a, 1), rows):
-        diffs = a_supports[:, j : j + rows, None] - b
+    rows = max(1, _CHUNK // max(b_support.size, 1))
+    counts = np.zeros(L, dtype=np.intp)
+    for j in range(0, a_support.size, rows):
+        diffs = a_support[j : j + rows, None] - b_support
         diffs += (diffs >> 63) & L  # x - y mod L: both supports lie in [0, L)
-        diffs += base
-        counts += np.bincount(diffs.ravel(), minlength=m * L)
-    return counts.reshape(m, L)
+        counts += np.bincount(diffs.ravel(), minlength=L)
+    return counts
 
 
 def _deviation(lo: int, hi: int, w: int, L: int) -> Fraction:
@@ -215,47 +207,15 @@ def _deviation(lo: int, hi: int, w: int, L: int) -> Fraction:
     return Fraction(max(hi * L - w, w - lo * L), w)
 
 
-def _epsilon(a_supports: np.ndarray, b_supports: np.ndarray, L: int) -> Fraction:
-    """Largest relative deviation (``_deviation``) over the row pairs, all
-    of weights (w_a, w_b).  The pairs are counted in chunks of at most
-    _CHUNK differences and _CHUNK counters, each reduced to its extremes
-    before the next."""
-    n = a_supports.shape[0]
-    w = a_supports.shape[1] * b_supports.shape[1]
-    pairs = max(1, _CHUNK // max(w, L))
-    lo, hi = w, 0
-    for start in range(0, n, pairs):
-        counts = _count_spectra(
-            a_supports[start : start + pairs], b_supports[start : start + pairs], L
-        )
-        lo, hi = min(lo, int(counts.min())), max(hi, int(counts.max()))
-    return _deviation(lo, hi, w, L)
-
-
 def epsilon_uniformity(sequences: Sequence[BinarySequence]) -> Fraction:
     """Smallest epsilon such that every pair of distinct sequences deviates
-    from its mean correlation by at most epsilon relatively.
-
-    Pairs are batched by their weights, one kernel run per weight pair."""
+    from its mean correlation by at most epsilon relatively: the largest
+    epsilon of the pairs' spectra, counted one pair at a time."""
     if len(sequences) < 2:
         raise ValueError("need at least two sequences")
-    lengths = {len(s) for s in sequences}
-    if len(lengths) != 1:
+    if len({len(s) for s in sequences}) != 1:
         raise ValueError("sequences must share a common period")
-    (L,) = lengths
-    by_weight: dict[int, list[np.ndarray]] = {}
-    for s in sequences:
-        by_weight.setdefault(s.weight, []).append(s.support())
-    groups = [np.stack(supports) for _, supports in sorted(by_weight.items())]
-    eps = []
-    for i, a in enumerate(groups):
-        ia, ib = np.triu_indices(len(a), 1)  # pairs within one weight
-        if ia.size:
-            eps.append(_epsilon(a[ia], a[ib], L))
-        for b in groups[i + 1 :]:  # pairs across two weights
-            ia, ib = np.indices((len(a), len(b))).reshape(2, -1)
-            eps.append(_epsilon(a[ia], b[ib], L))
-    return max(eps)
+    return max(correlation_spectrum(a, b).epsilon for a, b in combinations(sequences, 2))
 
 
 def crt_epsilon(params: CrtParams) -> Fraction:

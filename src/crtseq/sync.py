@@ -8,7 +8,9 @@ is never assigned because its autocorrelation is too forgiving), None
 while the user is idle, and sets it per the matching rule: an idle user
 that matches at t0 becomes active with start t0; an active user is
 re-examined only at whole-period boundaries of its own start and is
-dropped on the first failed match.
+dropped on the first failed match.  Two match kernels, one for long
+chunks and one for single symbols, feed one procedure that applies the
+rule.
 
 With the modified variant, identification is provably reliable when the
 period is long enough relative to p^2 and at most (p+1)/2 users are active
@@ -74,7 +76,11 @@ class ActivityDetector:
     detector keeps only the idle flags of the at most L-1 slots from the
     oldest undecided start onward, plus each active user's next start to
     examine; an idle user's next start is always the oldest undecided one.
-    Any chunking of a signal yields the same events as pushing it at once.
+    A chunk of 2q or more symbols is matched by ``_matched``, one byte row
+    per user; a shorter push is matched one symbol at a time against int
+    masks.  Either way ``_decide`` alone applies the rule and creates the
+    events, so any chunking of a signal yields the same events as pushing
+    it at once.
     """
 
     def __init__(self, params: CrtParams):
@@ -104,9 +110,10 @@ class ActivityDetector:
         """Number of symbols consumed so far."""
         return self._now
 
-    def _matched(self, n: int) -> np.ndarray:
-        """matched[k, j]: generator user_ids[k] matches the window that
-        starts at held slot j, for the first n held starts.
+    def _matched(self, n: int) -> list[bytes]:
+        """One row per user: byte j of row k is 1 if generator user_ids[k]
+        matches the window that starts at held slot j, else 0, for the
+        first n held starts.
 
         The idle flags are read as bytes once, and the bytes at bit shifts
         1..7 are ORs of adjacent shifted bytes; each row ORs, per one d of
@@ -115,8 +122,9 @@ class ActivityDetector:
         slices whatever n, plus the 8 shifts, so only chunks of 2q or more
         symbols come here; shorter pushes go one symbol at a time, at most
         p-1 window tests each.  At least n + L - 1 slots are held, so every
-        slice is whole; the bits past n are dropped when the rows are
-        unpacked."""
+        slice is whole; the bits past n are dropped when a row is unpacked,
+        one row at a time, so that no unpacked matrix is held beside the
+        rows."""
         width = -(-n // 8)
         size = -(-self._held // 8) + 1  # a zero byte past the last one for the shifts
         b = np.frombuffer(self._idle_slots.to_bytes(size, "little"), dtype=np.uint8)
@@ -128,27 +136,8 @@ class ActivityDetector:
         for row, offs in zip(idle, self._offsets.tolist()):
             for d in offs:
                 row |= shifts[d & 7][d >> 3 : (d >> 3) + width]
-        return np.unpackbits(~idle, axis=1, count=n, bitorder="little").view(bool)
-
-    def _flip(self, k: int, t0: int, events: list) -> int:
-        """Deactivate an active user k, or activate an idle one, at start t0;
-        record the event as (t0, user, event) and return the user's next
-        start to examine."""
-        u = self.user_ids[k]
-        if self.start[u] is not None:
-            self.start[u] = None
-            events.append((t0, u, Deactivated(u, t0)))
-            return t0 + 1
-        self.start[u] = t0
-        events.append((t0, u, Activated(u, t0)))
-        return t0 + self._L
-
-    def _reindex(self) -> None:
-        """Recompute the idle users and the wake time after a decision."""
-        starts = list(self.start.values())
-        self._idle = [k for k, s in enumerate(starts) if s is None]
-        self._wake = min((t for t, s in zip(self._next, starts) if s is not None),
-                         default=math.inf)
+        np.invert(idle, out=idle)
+        return [np.unpackbits(row, count=n, bitorder="little").tobytes() for row in idle]
 
     def push(self, symbols) -> list[Activated | Deactivated]:
         """Consume one symbol (an int) or a 1-D array of codes 0, 1, 2, such
@@ -182,71 +171,78 @@ class ActivityDetector:
         n = self._held - self._L + 1
         if n <= 0:
             return []
-        events = self._decide(n)
-        self._reindex()
-        return [ev for _, _, ev in events]
+        base = self._now - self._held  # slot of the oldest undecided start
+        rows = self._matched(n)
+        self._idle_slots >>= n
+        self._held -= n
+        return self._decide(base, n, dict(enumerate(rows)))
 
     def _decide_one(self) -> list[Activated | Deactivated]:
         """Decide the oldest undecided start, whose window of L held slots
-        ends with the symbol just pushed, for the users due there: every
-        idle user, and each active one at a whole period of its start.
+        ends with the symbol just pushed, for the users due there: each
+        idle user that matches, and each active one at a whole period of
+        its start, as one-byte rows.
 
         Slot 0 is a one of every sequence, so an idle start slot matches no
         user; then, and when no user is idle, nothing changes before the
         wake time.  Otherwise user k matches when none of the window's idle
         bits falls on its mask.
         """
-        L = self._L
-        t = self._now - L
+        t = self._now - self._L
         w = self._idle_slots
         self._idle_slots = w >> 1
         self._held -= 1
         if t < self._wake and (not self._idle or w & 1):
             return []
         masks = self._masks
-        flips = [k for k in self._idle if not w & masks[k]]
+        due = {k: b"\x01" for k in self._idle if not w & masks[k]}
         if t >= self._wake:
-            nxt = self._next
-            for k, t0 in enumerate(nxt):
+            for k, t0 in enumerate(self._next):
                 if t0 == t and self.start[self.user_ids[k]] is not None:
-                    if w & masks[k]:
-                        flips.append(k)
-                    else:
-                        nxt[k] = t + L
-        events: list = []
-        if flips or t >= self._wake:
-            for k in sorted(flips):
-                self._next[k] = self._flip(k, t, events)
-            self._reindex()
-        return [ev for _, _, ev in events]
+                    due[k] = b"\x00" if w & masks[k] else b"\x01"
+        if not due:
+            return []
+        return self._decide(t, 1, due)
 
-    def _decide(self, n: int) -> list:
-        """Decide the n oldest undecided starts for every user.  An active
-        user reads its match row at each whole period of its start; an idle
-        one skips to its row's next match by argmax, which stops at the
-        first True, so the scans of one row cover the chunk once in total."""
+    def _decide(self, base: int, n: int,
+                rows: dict[int, bytes]) -> list[Activated | Deactivated]:
+        """Apply the matching rule to starts base..base+n-1 for the users in
+        rows, where byte j of rows[k] is 1 if user k matches at base + j.
+
+        An idle user skips to its row's next match by ``find``, so the scans
+        of one row cover it once in total.  At each start reached the user
+        flips iff (idle == match), and moves on by L after a match and by
+        1 after a failure."""
         L = self._L
-        matched = self._matched(n)
-        base = self._now - self._held  # slot of the oldest undecided start
-        self._idle_slots >>= n
-        self._held -= n
-        events: list = []
-        for k, (u, row) in enumerate(zip(self.user_ids, matched)):
+        events = []
+        for k, row in rows.items():
+            u = self.user_ids[k]
+            start = self.start[u]
             j = max(self._next[k] - base, 0)  # an idle user's may be stale
             while j < n:
-                if self.start[u] is not None:
-                    if row[j]:
-                        j += L
-                        continue
-                else:
-                    j += int(row[j:].argmax())
-                    if not row[j]:  # no match left in the chunk
+                if start is None:
+                    j = row.find(1, j)
+                    if j < 0:  # no match left in the row
                         j = n
                         break
-                j = self._flip(k, base + j, events) - base
+                match = row[j]
+                if (start is None) == match:
+                    t0 = base + j
+                    if start is None:
+                        start = t0
+                        events.append((t0, u, Activated(u, t0)))
+                    else:
+                        start = None
+                        events.append((t0, u, Deactivated(u, t0)))
+                j += L if match else 1
+            self.start[u] = start
             self._next[k] = base + j
+        starts = list(self.start.values())  # the idle users and the wake time
+        self._idle = [k for k, s in enumerate(starts) if s is None]
+        self._wake = min((t for t, s in zip(self._next, starts) if s is not None),
+                         default=math.inf)
         events.sort(key=lambda item: item[:2])
-        return events
+        return [ev for _, _, ev in events]
 
 
 def run_detector(signal, params: CrtParams) -> list[Activated | Deactivated]:

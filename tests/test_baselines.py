@@ -2,7 +2,6 @@ from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from crtseq import correlation
@@ -79,12 +78,10 @@ def test_fixed_duty_family_beats_baselines():
 
 
 def bruteforce_levels(sequences):
-    """(min, max) of every unordered pair's spectrum, counted by the kernel
-    (a swapped pair's spectrum is the reverse, with the same extremes)."""
-    supports = np.stack([s.support() for s in sequences])
-    ia, ib = np.triu_indices(len(supports), 1)
-    counts = correlation._count_spectra(supports[ia], supports[ib], len(sequences[0]))
-    return int(counts.min()), int(counts.max())
+    """(min, max) over every unordered pair's spectrum (a swapped pair's
+    spectrum is the reverse, with the same extremes)."""
+    spectra = [correlation_spectrum(a, b).values for a, b in combinations(sequences, 2)]
+    return min(int(v.min()) for v in spectra), max(int(v.max()) for v in spectra)
 
 
 class TestWitnessPair:
@@ -120,8 +117,8 @@ class TestWitnessPair:
 
     def test_epsilon_counts_one_pair(self):
         fam = prime_sequences(37)
-        with mock.patch.object(correlation, "_count_spectra",
-                               side_effect=correlation._count_spectra) as kernel:
+        with mock.patch.object(correlation, "_count_spectrum",
+                               side_effect=correlation._count_spectrum) as kernel:
             assert fam.epsilon == 1
         assert kernel.call_count == 1
         assert "sequences" not in vars(fam)

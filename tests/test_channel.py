@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtseq.core import BinarySequence, CrtParams, Variant, generate_sequence
+from crtseq.core import BinarySequence, CrtParams, Variant, generate_sequence, is_prime
 from crtseq.channel import (
     BLOCK_SLOTS,
     _DRAW_ROWS,
@@ -417,6 +417,29 @@ class TestBounds:
 
     def test_peak_bound_small(self):
         assert peak_throughput_bound(5, 2) == Fraction(1, 5)
+
+    def test_peak_bound_lies_below_the_best_integer_count(self):
+        # every prime 3 <= p <= 37 and 1 <= k <= 7: the peak bound lies
+        # strictly below the bound at the floored maximizer, the integer
+        # nearest the maximizer is the best count, and the floor misses it
+        # 25 times
+        cases = [(p, k) for p in range(3, 38) if is_prime(p) for k in range(1, 8)]
+        assert len(cases) == 77
+        misses = []
+        for p, k in cases:
+            bounds = {m: throughput_lower_bound(p, k, m) for m in range(1, p + 1)}
+            best = max(bounds.values())
+            exact, floored = optimal_user_count(p, k)
+            assert peak_throughput_bound(p, k) < bounds[floored] <= best
+            assert bounds[round(exact)] == best
+            if bounds[floored] < best:
+                misses.append((p, k))
+        assert len(misses) == 25
+        assert (7, 2) in misses and optimal_user_count(7, 2) == (Fraction(8, 3), 2)
+        assert throughput_lower_bound(7, 2, 3) > throughput_lower_bound(7, 2, 2)
+        assert peak_throughput_bound(37, 2) == Fraction(1435, 8103)
+        assert max(throughput_lower_bound(37, 2, m) for m in range(1, 38)) == Fraction(13, 73)
+        assert throughput_lower_bound(37, 2, 13) == Fraction(13, 73)
 
     def test_peak_bound_limit(self):
         # as k grows the bound tends to 0.25*(p+1)^2/p^2 - 1/p^2

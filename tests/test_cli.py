@@ -126,8 +126,8 @@ class TestCorrelate:
 
     def test_counts_the_pair_once(self, capsys):
         # the spectrum and epsilon come from one run of the spectrum kernel
-        with mock.patch.object(correlation, "_count_spectra",
-                               side_effect=correlation._count_spectra) as kernel:
+        with mock.patch.object(correlation, "_count_spectrum",
+                               side_effect=correlation._count_spectrum) as kernel:
             assert main(["correlate", "--p", "3", "--q", "5", "--g", "2", "--h", "1"]) == 0
         assert kernel.call_count == 1
         assert json.loads(capsys.readouterr().out)["epsilon"] == "4/5"
@@ -1187,8 +1187,8 @@ class TestCompare:
         # the CRT row is read off proven levels, and each baseline row counts
         # the spectrum of its one witness pair
         out = tmp_path / "table.csv"
-        with mock.patch.object(correlation, "_count_spectra",
-                               side_effect=correlation._count_spectra) as kernel:
+        with mock.patch.object(correlation, "_count_spectrum",
+                               side_effect=correlation._count_spectrum) as kernel:
             assert main(["compare", "--p", "37", "--k", "6", "--out", str(out)]) == 0
         assert out.read_bytes() == COMPARE_GOLDEN
         assert kernel.call_count == 2

@@ -439,36 +439,21 @@ class TestSpectrumKernel:
     @given(rows=support_rows(), chunk=st.sampled_from([1, 5, 64, 1 << 16]))
     @settings(max_examples=150, deadline=None)
     def test_extremes_match_per_pair_spectra(self, rows, chunk):
-        # small chunks split the batch between pairs and one pair into row slices
+        # small chunks split one pair into row slices
         a, b, L = rows
-        pairs = [
-            (BinarySequence.from_support(x, L), BinarySequence.from_support(y, L))
-            for x, y in zip(a, b)
-        ]
-        spectra = [brute_spectrum(x, y) for x, y in pairs]
         w = a.shape[1] * b.shape[1]
         with mock.patch.object(correlation, "_CHUNK", chunk):
-            for (x, y), spec in zip(pairs, spectra):
-                assert correlation_spectrum(x, y).values.tolist() == spec
-            if w == 0:
-                with pytest.raises(ValueError, match="zero-weight"):
-                    correlation._epsilon(a, b, L)
-                return
-            eps = correlation._epsilon(a, b, L)
-        lo, hi = min(map(min, spectra)), max(map(max, spectra))
-        assert eps == Fraction(max(hi * L - w, w - lo * L), w)
-
-    def test_prime_family_spans_many_chunks(self):
-        # 666 pairs of 37 x 37 differences: ~14 chunks of at most 2^16
-        family = prime_sequences(37).sequences
-        pairs = list(combinations(family, 2))
-        a = np.stack([x.support() for x, _ in pairs])
-        b = np.stack([y.support() for _, y in pairs])
-        assert a.shape[0] * a.shape[1] * b.shape[1] > 13 * correlation._CHUNK
-        spectra = [correlation_spectrum(x, y).values for x, y in pairs]
-        lo, hi = min(int(v.min()) for v in spectra), max(int(v.max()) for v in spectra)
-        w, L = 37 * 37, 37 * 37
-        assert correlation._epsilon(a, b, L) == Fraction(max(hi * L - w, w - lo * L), w)
+            for x, y in zip(a, b):
+                x, y = BinarySequence.from_support(x, L), BinarySequence.from_support(y, L)
+                spec = brute_spectrum(x, y)
+                got = correlation_spectrum(x, y)
+                assert got.values.tolist() == spec
+                if w == 0:
+                    with pytest.raises(ValueError, match="zero-weight"):
+                        got.epsilon
+                else:
+                    lo, hi = min(spec), max(spec)
+                    assert got.epsilon == Fraction(max(hi * L - w, w - lo * L), w)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_large_pair_spectrum_in_bounded_memory(self):
@@ -554,8 +539,8 @@ class TestCrtEpsilon:
         params = construction_params(37, k)
         family = [generate_sequence(g, params) for g in range(params.p)]
         expect = epsilon_uniformity(family)
-        with mock.patch.object(correlation, "_count_spectra",
-                               side_effect=correlation._count_spectra) as kernel:
+        with mock.patch.object(correlation, "_count_spectrum",
+                               side_effect=correlation._count_spectrum) as kernel:
             assert crt_epsilon(params) == expect
         assert kernel.call_count == 0
 

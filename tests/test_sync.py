@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import random
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from crtseq.core import (
     generate_sequence,
 )
 from crtseq.channel import (
+    BLOCK_SLOTS,
     IDLE,
     Scenario,
     UserSpec,
@@ -57,6 +59,20 @@ FAILURE_SCENARIO = Scenario(
 def lone_signal(params, g, offset, duration):
     sc = Scenario(params, (UserSpec(g, g, offset),), duration)
     return channel_activity(simulate(sc))
+
+
+def session_scenario(params, seed, duration):
+    """Each generator 1..p-1 in sessions of 1..6 periods with rests of 1..3
+    periods between them, drawn from random.Random(seed)."""
+    rng, L, users = random.Random(seed), params.L, []
+    for g in range(1, params.p):
+        spans, t = [], rng.randrange(L)
+        while t < duration:
+            end = t + rng.randint(L, 6 * L)
+            spans.append((t, end))
+            t = end + rng.randint(L, 3 * L)
+        users.append(UserSpec(g, g, None, tuple(spans)))
+    return Scenario(params, tuple(users), duration)
 
 
 def push_each(detector, signal):
@@ -251,7 +267,7 @@ class TestDetector:
         expected = [[is_matched(codes, seq, t0) for t0 in range(n)] for seq in seqs]
         det._idle_slots = sum(1 << i for i in np.flatnonzero(codes == IDLE).tolist())
         det._held = codes.size
-        assert det._matched(n).tolist() == expected
+        assert det._matched(n) == [bytes(row) for row in expected]
 
     @given(st.sampled_from([M78, CrtParams(5, 12, Variant.MODIFIED)]),
            st.sampled_from([0, 1 / 64, 1 / 16]),
@@ -419,6 +435,24 @@ class TestDetector:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_chunk_pushes_hold_one_set_of_match_rows(self):
+        # blocks 2..8 of a 500k-slot session trace at (7, 101), pushed in
+        # 2^16 slots: a push holds (p-1)*2^16 bytes of match rows, about
+        # 576 KiB at its peak; unpacking a matrix and copying its rows
+        # beside it would take about 900 KiB
+        params = CrtParams(7, 101, Variant.MODIFIED)
+        codes = channel_activity(simulate(session_scenario(params, 9137, 500_000)))
+        det = ActivityDetector(params)
+        det.push(codes[:BLOCK_SLOTS])
+        tracemalloc.start()
+        try:
+            for lo in range(BLOCK_SLOTS, codes.size, BLOCK_SLOTS):
+                assert det.push(codes[lo : lo + BLOCK_SLOTS])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * (params.p - 1) * BLOCK_SLOTS
 
     @pytest.mark.parametrize(
         "symbols",
